@@ -5,6 +5,8 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
+	"net"
 	"net/http"
 	"os/exec"
 	"path/filepath"
@@ -129,7 +131,7 @@ func submitJob(t *testing.T, base, name, phy string, seed uint64) string {
 		"theta":         1.0,
 		"sampler":       "gmh",
 		"burnin":        200,
-		"samples":       6000,
+		"samples":       30000,
 		"em_iterations": 2,
 		"seed":          seed,
 	})
@@ -261,4 +263,35 @@ func TestMpcgsdServiceSmoke(t *testing.T) {
 		t.Error("no job reported resumed=true after restart")
 	}
 	d2.drain(t)
+}
+
+// TestMpcgsdClosesStalledHeaders holds a connection open with a partial
+// request line, the way a slow or hostile client trickles headers. The
+// daemon's header timeout (5 s in cmd/mpcgsd) must close it; without one
+// the connection and its goroutine would live forever.
+func TestMpcgsdClosesStalledHeaders(t *testing.T) {
+	d := startDaemon(t, t.TempDir())
+	conn, err := net.Dial("tcp", strings.TrimPrefix(d.base, "http://"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	if _, err := conn.Write([]byte("GET /healthz HT")); err != nil {
+		t.Fatal(err)
+	}
+	// The 5 s header timeout plus slack for a loaded host.
+	start := time.Now()
+	if err := conn.SetReadDeadline(start.Add(10 * time.Second)); err != nil {
+		t.Fatal(err)
+	}
+	// The server may answer with a 4xx status before closing; either way
+	// the read must end in EOF, not in the client's own deadline.
+	reply, err := io.ReadAll(conn)
+	if err != nil {
+		t.Fatalf("connection still open %v after a partial request line: %v", time.Since(start).Round(time.Second), err)
+	}
+	if len(reply) > 0 && !strings.HasPrefix(string(reply), "HTTP/1.1 4") {
+		t.Fatalf("unexpected reply to a stalled request:\n%s", reply)
+	}
+	d.drain(t)
 }

@@ -24,6 +24,14 @@ import (
 	"mpcgs/internal/serve"
 )
 
+// Connection timeouts. A client that trickles its request headers, or
+// parks an idle keep-alive connection, must not pin a goroutine forever.
+// No WriteTimeout: it would cut the long-lived SSE /events stream.
+const (
+	readHeaderTimeout = 5 * time.Second
+	idleTimeout       = 2 * time.Minute
+)
+
 func fatalf(format string, args ...any) {
 	fmt.Fprintf(os.Stderr, "mpcgsd: "+format+"\n", args...)
 	os.Exit(1)
@@ -70,7 +78,7 @@ func main() {
 	// the CI smoke test) can scrape the port when -addr picks port 0.
 	fmt.Printf("mpcgsd: listening on http://%s\n", ln.Addr())
 
-	hs := &http.Server{Handler: srv}
+	hs := &http.Server{Handler: srv, ReadHeaderTimeout: readHeaderTimeout, IdleTimeout: idleTimeout}
 	serveErr := make(chan error, 1)
 	go func() { serveErr <- hs.Serve(ln) }()
 

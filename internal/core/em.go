@@ -23,7 +23,7 @@ type EMConfig struct {
 	// Tolerance stops the loop once |Δθ|/θ falls below it. Zero selects
 	// 1e-3.
 	Tolerance float64
-	// MLE tunes the inner gradient ascent.
+	// MLE tunes the inner θ maximization.
 	MLE MLEConfig
 	// Trace streams every pass's draws to the sidecar at Trace.Path
 	// (all iterations append to the same file), keeping the recorder

@@ -1,9 +1,11 @@
 package core
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
+	"mpcgs/internal/coalprior"
 	"mpcgs/internal/device"
 	"mpcgs/internal/felsen"
 	"mpcgs/internal/mssim"
@@ -180,4 +182,73 @@ func TestJointGenealogyMLEErrors(t *testing.T) {
 	if _, err := JointGenealogyMLE(4, nil, nil); err == nil {
 		t.Error("empty genealogy set accepted")
 	}
+}
+
+// JointGenealogyMLE maximizes the exact joint log-likelihood
+// Σ_i log P(G_i|θ,g) over fully observed genealogies (their coalescent
+// ages). Unlike the relative likelihood above, this assumes the
+// genealogies themselves are data — it is the estimator used to validate
+// the growth prior against simulation, and a useful tool when true trees
+// are known. Only tests use it.
+func JointGenealogyMLE(nTips int, ages [][]float64, dev *device.Device) (*GrowthEstimate, error) {
+	if len(ages) == 0 {
+		return nil, fmt.Errorf("core: JointGenealogyMLE with no genealogies")
+	}
+	if dev == nil {
+		dev = device.Serial()
+	}
+	obj := func(th, gr float64) float64 {
+		terms := make([]float64, len(ages))
+		dev.Launch(len(ages), func(i int) {
+			terms[i] = coalprior.LogPriorGrowth(nTips, ages[i], th, gr)
+		})
+		return dev.ReduceSum(terms)
+	}
+	// Moment-based start: constant-size MLE of theta.
+	sum := 0.0
+	for _, a := range ages {
+		sum += sumKKTFromAges(nTips, a)
+	}
+	theta := sum / float64(len(ages)) / float64(nTips-1)
+	g := 0.0
+	meanHeight := 0.0
+	for _, a := range ages {
+		meanHeight += a[len(a)-1]
+	}
+	meanHeight /= float64(len(ages))
+	gStep := 2.0 / math.Max(meanHeight, 1e-9)
+
+	for iter := 0; iter < 300; iter++ {
+		dTheta := 1e-6 * theta
+		dG := 1e-6 * math.Max(1, math.Abs(g))
+		gradT := (obj(theta+dTheta, g) - obj(theta-dTheta, g)) / (2 * dTheta)
+		gradG := (obj(theta, g+dG) - obj(theta, g-dG)) / (2 * dG)
+		n := float64(len(ages))
+		stepT, stepG := gradT/n, gradG/n
+		if math.Abs(stepT) > theta {
+			stepT = math.Copysign(theta, stepT)
+		}
+		if math.Abs(stepG) > gStep {
+			stepG = math.Copysign(gStep, stepG)
+		}
+		cur := obj(theta, g)
+		halvings := 0
+		for ; halvings < 100; halvings++ {
+			nt, ng := theta+stepT, g+stepG
+			if nt > 0 && obj(nt, ng) >= cur {
+				break
+			}
+			stepT /= 2
+			stepG /= 2
+		}
+		if halvings == 100 {
+			break
+		}
+		theta += stepT
+		g += stepG
+		if math.Abs(gradT)/n <= 1e-8*theta && math.Abs(gradG)/n <= 1e-8*math.Max(1, math.Abs(g)) {
+			break
+		}
+	}
+	return &GrowthEstimate{Theta: theta, Growth: g, LogL: obj(theta, g)}, nil
 }

@@ -4,29 +4,19 @@ import (
 	"fmt"
 	"math"
 
-	"mpcgs/internal/coalprior"
 	"mpcgs/internal/device"
 )
 
 // RelLogLikelihood returns log L(θ), the log of the relative likelihood of
-// paper Eq. 26: the mean over sampled genealogies of P(G|θ)/P(G|θ0).
-// It is the posterior likelihood kernel of §5.2.3: one device thread per
-// sample computes the per-genealogy log-ratio from its reduced interval
-// representation, a max-reduction provides the §5.3 normalizing factor,
-// and an additive reduction completes the mean.
+// paper Eq. 26: the mean over sampled genealogies of P(G|θ)/P(G|θ0), by
+// the fused kernel relLogLik. Unlike the paper's §5.2.3 kernel it
+// launches no per-sample device threads: a sample's term is one multiply
+// and one exp, so over a pass's ~10³ draws a launch and its terms buffer
+// cost more than the work (four launches per evaluation ran no faster on
+// n workers than on one). dev is kept for signature compatibility.
 func RelLogLikelihood(s *SampleSet, theta float64, dev *device.Device) float64 {
-	if dev == nil {
-		dev = device.Serial()
-	}
-	stats := s.PostBurninStats()
-	if len(stats) == 0 {
-		panic("core: RelLogLikelihood with no post-burn-in samples")
-	}
-	terms := make([]float64, len(stats))
-	dev.Launch(len(stats), func(i int) {
-		terms[i] = coalprior.LogPriorRatio(s.NTips, stats[i], theta, s.Theta0)
-	})
-	return dev.ReduceLogSum(terms) - math.Log(float64(len(terms)))
+	h, _, _ := relLogLik(postBurninStats(s), s.NTips, theta, s.Theta0)
+	return h
 }
 
 // Curve evaluates log L(θ) over a grid of theta values, for likelihood
@@ -39,13 +29,60 @@ func Curve(s *SampleSet, thetas []float64, dev *device.Device) []float64 {
 	return out
 }
 
-// MLEConfig tunes the gradient ascent of Algorithm 2.
+func postBurninStats(s *SampleSet) []float64 {
+	stats := s.PostBurninStats()
+	if len(stats) == 0 {
+		panic("core: relative likelihood with no post-burn-in samples")
+	}
+	return stats
+}
+
+// relLogLik is one serial pass over the draws' sufficient statistics
+// S_i = Σ k(k-1)t, on which each log-ratio
+// log[P(G_i|θ)/P(G_i|θ0)] = (n-1) log(θ0/θ) - S_i (1/θ - 1/θ0) depends.
+// It returns h = log L(θ) and its first two derivatives in v = log θ,
+//
+//	h'  = E_w[S]/θ - (n-1)
+//	h'' = Var_w[S]/θ² - E_w[S]/θ
+//
+// under the weights w_i ∝ exp(-S_i (1/θ - 1/θ0)). The weights are shifted
+// by their running maximum (§5.3) and S is accumulated relative to the
+// first draw, so nothing overflows and the variance does not cancel. At
+// θ = θ0 every weight is exactly 1 and h exactly 0.
+//
+//mpcgs:hotpath
+func relLogLik(stats []float64, nTips int, theta, theta0 float64) (h, dh, d2h float64) {
+	d := 1/theta - 1/theta0
+	ref := stats[0]
+	shift := -d * ref
+	var sw, swD, swD2 float64
+	for _, st := range stats {
+		x := -d * st
+		if x > shift {
+			r := math.Exp(shift - x)
+			sw, swD, swD2 = sw*r, swD*r, swD2*r
+			shift = x
+		}
+		w, off := math.Exp(x-shift), st-ref
+		sw += w
+		swD += w * off
+		swD2 += w * off * off
+	}
+	mu := swD / sw
+	mean, variance := ref+mu, math.Max(swD2/sw-mu*mu, 0)
+	h = float64(nTips-1)*math.Log(theta0/theta) + shift + math.Log(sw/float64(len(stats)))
+	return h, mean/theta - float64(nTips-1), variance/(theta*theta) - mean/theta
+}
+
+// MLEConfig tunes the θ maximization.
 type MLEConfig struct {
 	// Delta is the finite-difference half-width, relative to the current
-	// theta. Zero selects 1e-6.
+	// theta, used only by MaximizeThetaGrowth. Zero selects 1e-6.
 	Delta float64
 	// Epsilon is the convergence threshold on theta movement, relative to
-	// the current theta. Zero selects 1e-8.
+	// the current theta: MaximizeTheta stops once its Newton step moves θ
+	// less than this, MaximizeThetaGrowth once its gradient would. Zero
+	// selects 1e-8.
 	Epsilon float64
 	// MaxIterations bounds the ascent. Zero selects 200.
 	MaxIterations int
@@ -66,54 +103,48 @@ func (c *MLEConfig) withDefaults() MLEConfig {
 }
 
 // MaximizeTheta finds the θ maximizing the relative likelihood over the
-// sample set by the iterative gradient ascent of Algorithm 2: a central
-// finite-difference gradient proposes a step, the step is halved while it
-// would reduce the objective or drive θ non-positive, and the ascent stops
-// when θ moves less than epsilon. The ascent runs on log L(θ), a monotone
-// transform of the paper's L(θ) with the same maximizer but a far wider
-// dynamic range (§5.3).
+// sample set by a Newton ascent on h(v) = log L(e^v), v = log θ, with the
+// analytic derivatives of relLogLik. It keeps the safeguards of the paper's
+// Algorithm 2: a step that would lower log L is halved instead, and one
+// iteration at most doubles or halves θ, so a driving value far from the
+// maximizer (Fig. 5's θ0 = 0.01) still climbs geometrically; where h is
+// not concave it takes that full step uphill. dev is kept for signature
+// compatibility.
 func MaximizeTheta(s *SampleSet, cfg MLEConfig, dev *device.Device) (float64, error) {
-	c := cfg.withDefaults()
-	theta := s.Theta0
-	if theta <= 0 {
-		return 0, fmt.Errorf("core: sample set has non-positive driving theta %v", theta)
+	if s.Theta0 <= 0 {
+		return 0, fmt.Errorf("core: sample set has non-positive driving theta %v", s.Theta0)
 	}
-	obj := func(t float64) float64 { return RelLogLikelihood(s, t, dev) }
+	theta, _ := newtonAscent(postBurninStats(s), s.NTips, s.Theta0, cfg.withDefaults())
+	return theta, nil
+}
 
+// newtonAscent is MaximizeTheta's ascent; it also counts kernel passes.
+func newtonAscent(stats []float64, nTips int, theta0 float64, c MLEConfig) (theta float64, evals int) {
+	at := func(theta float64) (h, grad, curv float64) {
+		evals++
+		return relLogLik(stats, nTips, theta, theta0)
+	}
+	theta = theta0
+	h, grad, curv := at(theta)
 	for iter := 0; iter < c.MaxIterations; iter++ {
-		delta := c.Delta * theta
-		grad := (obj(theta+delta) - obj(theta-delta)) / (2 * delta)
-		step := grad
-		// Trust region: cap the step at the current theta so one
-		// iteration at most doubles the estimate. Without the cap, a
-		// driving value far below the maximizer (the Fig. 5 setting,
-		// theta0 = 0.01) has an enormous gradient that overshoots onto
-		// the flat far slope of the curve, where the raw Algorithm 2
-		// crawls; the cap turns the approach into a geometric climb.
-		if math.Abs(step) > theta {
-			step = math.Copysign(theta, step)
+		step := math.Copysign(math.Ln2, grad)
+		if curv < 0 && math.Abs(grad) < -curv*math.Ln2 {
+			step = -grad / curv
 		}
-		// Halve the step until it is admissible: positive destination
-		// and non-decreasing objective (Algorithm 2's inner loop).
-		cur := obj(theta)
-		halvings := 0
-		for ; halvings < 200; halvings++ {
-			next := theta + step
-			if next > 0 && obj(next) >= cur {
+		for {
+			next := theta * math.Exp(step)
+			if hn, gn, cn := at(next); hn >= h {
+				theta, h, grad, curv = next, hn, gn, cn
 				break
+			}
+			if math.Abs(step) <= c.Epsilon {
+				return theta, evals // no resolvable ascent step left
 			}
 			step /= 2
 		}
-		if halvings == 200 {
-			return theta, nil // gradient direction yields no improvement
-		}
-		theta += step
-		// Converged once the raw gradient itself would move theta by
-		// less than epsilon relative — a clamped or halved step still
-		// counts as progress.
-		if math.Abs(grad) <= c.Epsilon*theta {
-			return theta, nil
+		if math.Abs(step) <= c.Epsilon {
+			break
 		}
 	}
-	return theta, nil
+	return theta, evals
 }

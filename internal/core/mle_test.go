@@ -1,12 +1,14 @@
 package core
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
 	"mpcgs/internal/coalprior"
 	"mpcgs/internal/device"
 	"mpcgs/internal/logspace"
+	"mpcgs/internal/rng"
 )
 
 func syntheticSet(theta0 float64, nTips int, stats []float64) *SampleSet {
@@ -50,8 +52,51 @@ func TestMaximizeThetaSingleSampleClosedForm(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if math.Abs(got-want) > 1e-4*want {
+	if math.Abs(got-want) > 1e-10*want {
 		t.Errorf("MaximizeTheta = %v, want %v", got, want)
+	}
+}
+
+func TestMaximizeThetaStationarity(t *testing.T) {
+	// At the maximizer the score vanishes: θ̂ = E_w[S]/(n-1) under the
+	// importance weights w_i ∝ P(G_i|θ̂)/P(G_i|θ0), computed here per
+	// sample, apart from the fused kernel.
+	for _, s := range []*SampleSet{
+		syntheticSet(0.8, 7, []float64{2.0, 3.5, 5.0, 4.2, 2.8}),
+		syntheticSet(0.6, 8, []float64{1.0, 2.0, 3.0, 4.0, 5.0, 2.5, 3.5, 1.5}),
+		syntheticSet(0.05, 12, priorStats(1000, 12, 1.0, 3)),
+	} {
+		got, err := MaximizeTheta(s, MLEConfig{}, device.Serial())
+		if err != nil {
+			t.Fatal(err)
+		}
+		logw := make([]float64, len(s.Stats))
+		for i, st := range s.Stats {
+			logw[i] = coalprior.LogPriorRatio(s.NTips, st, got, s.Theta0)
+		}
+		m := logspace.Max(logw)
+		var sw, swS float64
+		for i, st := range s.Stats {
+			w := math.Exp(logw[i] - m)
+			sw += w
+			swS += w * st
+		}
+		if want := swS / sw / float64(s.NTips-1); math.Abs(got-want) > 1e-9*want {
+			t.Errorf("θ0 = %v: θ̂ = %v, E_w[S]/(n-1) = %v", s.Theta0, got, want)
+		}
+	}
+}
+
+func TestMaximizeThetaAllZeroStats(t *testing.T) {
+	// Every genealogy with zero-length intervals: log L rises without
+	// bound as θ falls. The ascent must still return a usable value.
+	s := syntheticSet(0.5, 5, []float64{0, 0, 0, 0})
+	got, err := MaximizeTheta(s, MLEConfig{}, device.Serial())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !(got > 0) || math.IsInf(got, 0) {
+		t.Errorf("MaximizeTheta on all-zero S = %v, want positive and finite", got)
 	}
 }
 
@@ -100,6 +145,52 @@ func TestMaximizeThetaStaysPositive(t *testing.T) {
 	}
 	if got <= 0 {
 		t.Errorf("MaximizeTheta = %v, want positive", got)
+	}
+}
+
+// priorStats draws n statistics S = Σ k(k-1)t of nTips-tip genealogies
+// under the coalescent prior at theta: each k(k-1)t_k is θ·Exp(1).
+func priorStats(n, nTips int, theta float64, seed uint32) []float64 {
+	src := rng.NewMT19937(seed)
+	out := make([]float64, n)
+	for i := range out {
+		for k := nTips; k >= 2; k-- {
+			out[i] += theta * rng.Exp(src, 1)
+		}
+	}
+	return out
+}
+
+func TestMaximizeThetaZeroAllocs(t *testing.T) {
+	s := syntheticSet(0.5, 12, priorStats(1000, 12, 1.0, 1))
+	dev := device.Serial()
+	allocs := testing.AllocsPerRun(20, func() {
+		if _, err := MaximizeTheta(s, MLEConfig{}, dev); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("MaximizeTheta allocates %v times per call, want 0", allocs)
+	}
+}
+
+// BenchmarkMaximizeTheta times one M-step over prior draws at θ = 1
+// driven at θ0 = 0.5, the spread of a first EM iteration, and reports
+// the kernel passes it takes.
+func BenchmarkMaximizeTheta(b *testing.B) {
+	for _, n := range []int{1000, 10000} {
+		b.Run(fmt.Sprintf("draws=%d", n), func(b *testing.B) {
+			s := syntheticSet(0.5, 12, priorStats(n, 12, 1.0, 2))
+			dev := device.Serial()
+			_, evals := newtonAscent(s.Stats, s.NTips, s.Theta0, (&MLEConfig{}).withDefaults())
+			b.ReportAllocs()
+			for b.Loop() {
+				if _, err := MaximizeTheta(s, MLEConfig{}, dev); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(evals), "evals/op")
+		})
 	}
 }
 

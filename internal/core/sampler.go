@@ -8,8 +8,8 @@
 //     (§4.1, §4.3, §5.1.4).
 //   - MultiChain: the classic run-P-independent-chains parallelization
 //     whose per-chain burn-in makes it non-scalable (paper §3, Fig. 6).
-//   - Maximum likelihood estimation of θ over a sample set (§5.1.5,
-//     Algorithm 2) and the EM loop that alternates sampling and
+//   - Maximum likelihood estimation of θ over a sample set (§5.1.5; a
+//     Newton ascent with Algorithm 2's safeguards) and the EM loop that alternates sampling and
 //     maximization (§5.1, Fig. 11).
 package core
 

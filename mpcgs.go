@@ -6,7 +6,7 @@
 //
 // The estimator alternates two phases (an Expectation-Maximization loop):
 // a Markov chain samples genealogical trees from the posterior P(G|D,θ0)
-// at a driving value θ0, and a gradient ascent maximizes the relative
+// at a driving value θ0, and a Newton ascent maximizes the relative
 // likelihood L(θ) of the sampled trees to produce the next driving value.
 // The sampling phase is parallelized with Calderhead's Generalized
 // Metropolis-Hastings construction: each iteration generates many
