@@ -265,6 +265,37 @@ func TestMpcgsdServiceSmoke(t *testing.T) {
 	d2.drain(t)
 }
 
+// TestMpcgsdClosesStalledBody sends complete headers for a POST whose
+// body never finishes arriving: Content-Length 100, then 10 bytes and a
+// stall. The header timeout no longer applies, so the submission's own
+// body deadline (10 s in internal/serve) must end it with a 4xx or a
+// close; without one the handler would wait on the body forever.
+func TestMpcgsdClosesStalledBody(t *testing.T) {
+	d := startDaemon(t, t.TempDir())
+	conn, err := net.Dial("tcp", strings.TrimPrefix(d.base, "http://"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	req := "POST /v1/jobs HTTP/1.1\r\nHost: mpcgsd\r\nContent-Type: application/json\r\nContent-Length: 100\r\n\r\n{\"name\":\"s"
+	if _, err := conn.Write([]byte(req)); err != nil {
+		t.Fatal(err)
+	}
+	// The 10 s body deadline plus slack for a loaded host.
+	start := time.Now()
+	if err := conn.SetReadDeadline(start.Add(20 * time.Second)); err != nil {
+		t.Fatal(err)
+	}
+	reply, err := io.ReadAll(conn)
+	if err != nil && len(reply) == 0 {
+		t.Fatalf("no reply and connection still open %v after a stalled body: %v", time.Since(start).Round(time.Second), err)
+	}
+	if len(reply) > 0 && !strings.HasPrefix(string(reply), "HTTP/1.1 4") {
+		t.Fatalf("unexpected reply to a stalled body:\n%s", reply)
+	}
+	d.drain(t)
+}
+
 // TestMpcgsdClosesStalledHeaders holds a connection open with a partial
 // request line, the way a slow or hostile client trickles headers. The
 // daemon's header timeout (5 s in cmd/mpcgsd) must close it; without one

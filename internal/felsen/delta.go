@@ -53,10 +53,19 @@ package felsen
 // proposals × blocks parallelism; small ones run inline, where blocked
 // and unblocked summation coincide whenever nPatterns <= BlockSize.
 //
-// Within every recomputed node the arithmetic is identical to the full
-// serial evaluation; only the summation over sites is reassociated (by
-// pattern, then by block), so delta results agree with
-// LogLikelihoodSerial to floating-point roundoff rather than bit-for-bit.
+// # Closed-form transitions
+//
+// Every pattern kernel — this block kernel, and the wave's lift, fused
+// neighbourhood and root-path walk (wave.go) — applies an edge's
+// transition through its closed form (subst.Coeffs: a scaled identity
+// plus π-weighted group sums, about 20 flops and 4 coefficients per
+// edge) rather than a dense 4×4 product, and all of them share that
+// form's operation order, the one out-of-line rescale helper and the one
+// root contraction (rootLogLik), so they stay bit-identical to each
+// other. The site kernels (LogLikelihood, LogLikelihoodSerial) keep the
+// dense matrices and are the independent reference: delta results agree
+// with them to floating-point roundoff, as do the reassociated sums over
+// sites (by pattern, then by block).
 // All members of one proposal set are evaluated through the same path, so
 // their weights stay exactly comparable.
 
@@ -104,15 +113,15 @@ type DeltaCache struct {
 
 // deltaScratch is the pooled working memory of one delta evaluation: the
 // dirty marking, the changed nodes in bottom-up order, fresh transition
-// matrices for changed edges, the recomputed lanes, and the per-block
+// coefficients for changed edges, the recomputed lanes, and the per-block
 // partial sums. The block kernel closure is built once per scratch and
 // rebound to the evaluation at hand through the scratch's fields, so
 // launching blocks allocates nothing per evaluation.
 type deltaScratch struct {
-	dirty []bool
-	order []int
-	pos   []int          // node -> index into order, valid for dirty nodes
-	mats  []subst.Matrix // indexed by child node, like scratch.mats
+	dirty  []bool
+	order  []int
+	pos    []int          // node -> index into order, valid for dirty nodes
+	coeffs []subst.Coeffs // closed-form edge transitions, indexed by child node
 	// cond/scale hold the recomputed rows of evaluations that do not
 	// write through to the cache, laid out exactly like the cache's rows
 	// but indexed by pos[node] instead of node-nTips. Grown on demand and
@@ -125,10 +134,10 @@ type deltaScratch struct {
 	sums []float64
 	// rows holds the evaluation's resolved lane sources, indexed like
 	// order: each dirty node's child rows (tip table, staged scratch or
-	// cache), output row and child matrices, bound once by bindRows so the
-	// block kernel selects tip cells by plain slice indexing instead of
-	// re-branching per node per block. rootCond/rootScale are the root
-	// row's lanes for the contraction.
+	// cache), output row and child edge transitions, bound once by
+	// bindRows so the block kernel selects tip cells by plain slice
+	// indexing instead of re-branching per node per block.
+	// rootCond/rootScale are the root row's lanes for the contraction.
 	rows      []rowRef
 	rootCond  []float64
 	rootScale []float64
@@ -144,14 +153,14 @@ type deltaScratch struct {
 
 // rowRef is one dirty node's pre-resolved evaluation inputs: full-length
 // lane slices (sliced to the block's pattern range inside the kernel)
-// and the two child transition matrices. Resolving these once per
+// and the two child edge transitions. Resolving these once per
 // evaluation removes the only data-dependent branches — tip table vs
 // scratch vs cache — from the block kernel's node loop.
 type rowRef struct {
 	lc, ls []float64 // left child's state lanes and scale lane
 	rc, rs []float64 // right child's state lanes and scale lane
 	oc, os []float64 // output row's state lanes and scale lane
-	m0, m1 *subst.Matrix
+	p0, p1 *subst.Coeffs
 }
 
 // NewDeltaCache allocates an empty cache sized for the evaluator's
@@ -389,15 +398,15 @@ func sortByAge(t *gtree.Tree, order []int) {
 //
 //mpcgs:hotpath
 func (e *Evaluator) evalDelta(c *DeltaCache, t *gtree.Tree, ds *deltaScratch, writeBack bool) float64 {
-	// Fresh transition matrices for every edge below a changed node: these
-	// are the only edges whose lengths can differ from the base (an edge
-	// below an untouched node has untouched endpoints), and the only ones
-	// the recomputation reads. This is the batched per-proposal matrix
-	// preparation: 2·|dirty| matrices instead of one per node.
+	// Fresh transition coefficients for every edge below a changed node:
+	// these are the only edges whose lengths can differ from the base (an
+	// edge below an untouched node has untouched endpoints), and the only
+	// ones the recomputation reads. This is the batched per-proposal
+	// transition preparation: 2·|dirty| edges instead of one per node.
 	for _, node := range ds.order {
 		nd := &t.Nodes[node]
 		for _, ch := range nd.Child {
-			e.model.TransitionInto(nd.Age-t.Nodes[ch].Age, &ds.mats[ch])
+			ds.coeffs[ch] = e.model.CoeffsAt(nd.Age - t.Nodes[ch].Age)
 		}
 	}
 	nPat := e.nPatterns
@@ -442,7 +451,7 @@ func (e *Evaluator) evalDelta(c *DeltaCache, t *gtree.Tree, ds *deltaScratch, wr
 	return total
 }
 
-// bindRows resolves every dirty node's lane sources and matrices into
+// bindRows resolves every dirty node's lane sources and transitions into
 // ds.rows, and the root row for the contraction, once per evaluation —
 // before the blocks run, after the scratch lanes are sized (the slices
 // must point into the final backing arrays). A dirty child's slice
@@ -465,7 +474,7 @@ func (ds *deltaScratch) bindRows(t *gtree.Tree) {
 		rr.lc, rr.ls = ds.row(nTips, c0)
 		rr.rc, rr.rs = ds.row(nTips, c1)
 		rr.oc, rr.os = ds.outRow(nTips, node)
-		rr.m0, rr.m1 = &ds.mats[c0], &ds.mats[c1]
+		rr.p0, rr.p1 = &ds.coeffs[c0], &ds.coeffs[c1]
 	}
 	ds.rootCond, ds.rootScale = ds.row(nTips, t.Root)
 }
@@ -512,13 +521,13 @@ func (ds *deltaScratch) outRow(nTips, node int) (cond, scale []float64) {
 // concurrently on the pool. The node loop is branchless on lane sources:
 // every row — tip table, staged scratch or cache — was resolved into
 // ds.rows by bindRows, so the kernel only slices and streams. The inner
-// loop is a single fused pass per node — both children's dot products,
-// the running maximum, the rare rescale, and the scale lane — over
-// equal-length lane slices indexed by one induction variable, which is
-// what lets the compiler eliminate every bounds check
-// (-d=ssa/check_bce) and keep the loads and stores dense. The
-// per-pattern arithmetic and its operation order are identical to
-// siteLogLikelihoodIter.
+// loop is a single fused pass per node — both children's closed-form
+// edge products (subst.Coeffs.Apply), the rare rescale, and the scale
+// lane — over equal-length lane slices indexed by one induction
+// variable, which is what lets the compiler eliminate every bounds check
+// (-d=ssa/check_bce) and keep the loads and stores dense. It computes
+// what siteLogLikelihoodIter computes with dense matrices, and agrees
+// with it to floating-point roundoff.
 //
 //mpcgs:hotpath
 func (ds *deltaScratch) runBlock(b int) {
@@ -529,20 +538,13 @@ func (ds *deltaScratch) runBlock(b int) {
 	if hi > nPat {
 		hi = nPat
 	}
+	fA, fC, fG, fT := e.freqs[0], e.freqs[1], e.freqs[2], e.freqs[3]
 	for k := range ds.rows {
 		rr := &ds.rows[k]
 		lc, lsf := rr.lc, rr.ls
 		rc, rsf := rr.rc, rr.rs
 		oc, osf := rr.oc, rr.os
-		m0, m1 := rr.m0, rr.m1
-		a00, a01, a02, a03 := m0[0][0], m0[0][1], m0[0][2], m0[0][3]
-		a10, a11, a12, a13 := m0[1][0], m0[1][1], m0[1][2], m0[1][3]
-		a20, a21, a22, a23 := m0[2][0], m0[2][1], m0[2][2], m0[2][3]
-		a30, a31, a32, a33 := m0[3][0], m0[3][1], m0[3][2], m0[3][3]
-		b00, b01, b02, b03 := m1[0][0], m1[0][1], m1[0][2], m1[0][3]
-		b10, b11, b12, b13 := m1[1][0], m1[1][1], m1[1][2], m1[1][3]
-		b20, b21, b22, b23 := m1[2][0], m1[2][1], m1[2][2], m1[2][3]
-		b30, b31, b32, b33 := m1[3][0], m1[3][1], m1[3][2], m1[3][3]
+		p0, p1 := *rr.p0, *rr.p1
 		o0 := oc[lo:hi]
 		o1 := oc[nPat+lo : nPat+hi]
 		o2 := oc[2*nPat+lo : 2*nPat+hi]
@@ -566,33 +568,12 @@ func (ds *deltaScratch) runBlock(b int) {
 		r0, r1, r2, r3 = r0[:n], r1[:n], r2[:n], r3[:n]
 		ls, rs, os = ls[:n], rs[:n], os[:n]
 		for i := range o0 {
-			u0, u1, u2, u3 := l0[i], l1[i], l2[i], l3[i]
-			v0, v1, v2, v3 := r0[i], r1[i], r2[i], r3[i]
-			w0 := (a00*u0 + a01*u1 + a02*u2 + a03*u3) * (b00*v0 + b01*v1 + b02*v2 + b03*v3)
-			w1 := (a10*u0 + a11*u1 + a12*u2 + a13*u3) * (b10*v0 + b11*v1 + b12*v2 + b13*v3)
-			w2 := (a20*u0 + a21*u1 + a22*u2 + a23*u3) * (b20*v0 + b21*v1 + b22*v2 + b23*v3)
-			w3 := (a30*u0 + a31*u1 + a32*u2 + a33*u3) * (b30*v0 + b31*v1 + b32*v2 + b33*v3)
-			maxv := 0.0
-			if w0 > maxv {
-				maxv = w0
-			}
-			if w1 > maxv {
-				maxv = w1
-			}
-			if w2 > maxv {
-				maxv = w2
-			}
-			if w3 > maxv {
-				maxv = w3
-			}
+			a0, a1, a2, a3 := p0.Apply(fA, fC, fG, fT, l0[i], l1[i], l2[i], l3[i])
+			b0, b1, b2, b3 := p1.Apply(fA, fC, fG, fT, r0[i], r1[i], r2[i], r3[i])
+			w0, w1, w2, w3 := a0*b0, a1*b1, a2*b2, a3*b3
 			sc := ls[i] + rs[i]
-			if maxv < rescaleThreshold && maxv > 0 {
-				inv := 1 / maxv
-				w0 *= inv
-				w1 *= inv
-				w2 *= inv
-				w3 *= inv
-				sc += math.Log(maxv)
+			if w0 < rescaleThreshold && w1 < rescaleThreshold && w2 < rescaleThreshold && w3 < rescaleThreshold {
+				w0, w1, w2, w3, sc = rescale(w0, w1, w2, w3, sc)
 			}
 			o0[i] = w0
 			o1[i] = w1
@@ -601,27 +582,85 @@ func (ds *deltaScratch) runBlock(b int) {
 			os[i] = sc
 		}
 	}
-	// Root contraction with the prior frequencies (Eq. 21), per pattern.
 	// The root is always dirty here: diffDirty marks every changed node's
 	// full ancestor path.
-	rc, rsf := ds.rootCond, ds.rootScale
-	f0, f1, f2, f3 := e.freqs[0], e.freqs[1], e.freqs[2], e.freqs[3]
-	p0 := rc[lo:hi]
-	p1 := rc[nPat+lo : nPat+hi]
-	p2 := rc[2*nPat+lo : 2*nPat+hi]
-	p3 := rc[3*nPat+lo : 3*nPat+hi]
-	ps := rsf[lo:hi]
-	pc := e.patCount[lo:hi]
+	ds.sums[b] = rootLogLik(&e.freqs, laneSlice(ds.rootCond, ds.rootScale, nPat, lo, hi), e.patCount[lo:hi])
+}
+
+// prodFloor is where rootLogLik flushes its running product of site
+// likelihoods into the log sum. A root row's largest entry is at least
+// rescaleThreshold (a row below it is rescaled to a maximum of 1), so a
+// non-zero site likelihood is at least π_min·1e-150, and a product above
+// 1e-100 times one more of them stays a normal float64 for any π_min
+// above 1e-58.
+const prodFloor = 1e-100
+
+// rootLogLik contracts one block of root lanes with the prior
+// frequencies (Eq. 21) and returns the block's log-likelihood,
+// Σ_pat count·(log(π·root) + scale). The pattern kernels' shared root
+// contraction: instead of one math.Log per pattern, the site likelihoods
+// of single-count patterns multiply into a running product that is
+// logged only when it drops below prodFloor — one log per ~100 decades,
+// which agrees with the per-pattern sum to roundoff.
+//
+//mpcgs:hotpath
+func rootLogLik(freqs *[4]float64, root laneView, count []float64) float64 {
+	fA, fC, fG, fT := freqs[0], freqs[1], freqs[2], freqs[3]
+	p0 := root.l0
 	n := len(p0)
-	p1, p2, p3, ps, pc = p1[:n], p2[:n], p3[:n], ps[:n], pc[:n]
-	sum := 0.0
+	p1, p2, p3, ps, pc := root.l1[:n], root.l2[:n], root.l3[:n], root.ls[:n], count[:n]
+	sum, prod := 0.0, 1.0
 	for i := range p0 {
-		siteL := f0*p0[i] + f1*p1[i] + f2*p2[i] + f3*p3[i]
+		siteL := fA*p0[i] + fC*p1[i] + fG*p2[i] + fT*p3[i]
 		if siteL <= 0 {
 			sum += logspace.NegInf
 			continue
 		}
-		sum += pc[i] * (math.Log(siteL) + ps[i])
+		if pc[i] == 1 {
+			prod *= siteL
+			if prod < prodFloor {
+				sum += math.Log(prod)
+				prod = 1
+			}
+		} else {
+			sum += pc[i] * math.Log(siteL)
+		}
+		sum += pc[i] * ps[i]
 	}
-	ds.sums[b] = sum
+	return sum + math.Log(prod)
+}
+
+// rescale renormalizes one pattern's conditionals once all four have
+// fallen below rescaleThreshold (the caller's test, a branch that is
+// almost never taken): it divides by their maximum and adds that
+// maximum's log to the scale sc, preventing underflow on deep trees
+// (paper §5.3). An all-zero row is left as is. For non-NaN rows this is
+// the site kernels' running-max rescale, shared out of line by every
+// pattern kernel so their loops stay small.
+//
+//mpcgs:hotpath
+//go:noinline
+func rescale(w0, w1, w2, w3, sc float64) (float64, float64, float64, float64, float64) {
+	maxv := 0.0
+	if w0 > maxv {
+		maxv = w0
+	}
+	if w1 > maxv {
+		maxv = w1
+	}
+	if w2 > maxv {
+		maxv = w2
+	}
+	if w3 > maxv {
+		maxv = w3
+	}
+	if maxv > 0 {
+		inv := 1 / maxv
+		w0 *= inv
+		w1 *= inv
+		w2 *= inv
+		w3 *= inv
+		sc += math.Log(maxv)
+	}
+	return w0, w1, w2, w3, sc
 }

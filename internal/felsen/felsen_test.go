@@ -8,6 +8,7 @@ import (
 	"mpcgs/internal/device"
 	"mpcgs/internal/gtree"
 	"mpcgs/internal/phylip"
+	"mpcgs/internal/resim"
 	"mpcgs/internal/rng"
 	"mpcgs/internal/subst"
 )
@@ -139,6 +140,23 @@ func TestPruningMatchesBruteForce(t *testing.T) {
 			}
 			if math.Abs(got-want) > 1e-9*math.Max(1, math.Abs(want)) {
 				t.Errorf("%s trial %d: pruning %v != brute force %v", name, trial, got, want)
+			}
+			// The closed-form pattern kernels: Rebase, and one bound wave
+			// round (its resimulations drawn from their own stream).
+			c := e.NewDeltaCache()
+			if rb := e.Rebase(c, tr); !closeRel(rb, want) {
+				t.Errorf("%s trial %d: Rebase %v != brute force %v", name, trial, rb, want)
+			}
+			ws := rng.NewMT19937(uint32(200 + trial))
+			props, ll := waveRound(t, e, c, tr, resim.PickTarget(tr, ws), 3, 1.0, ws)
+			for i, p := range props {
+				bf, err := BruteForceLogLikelihood(model, aln.Seqs, p)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !closeRel(ll[i], bf) {
+					t.Errorf("%s trial %d candidate %d: wave %v != brute force %v", name, trial, i, ll[i], bf)
+				}
 			}
 		}
 	}

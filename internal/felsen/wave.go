@@ -11,24 +11,25 @@ package felsen
 // node, the same untouched sibling subtree whose conditionals already sit
 // in the delta cache. The per-candidate delta evaluation still walks that
 // shared path N times, recomputing for each candidate the identical
-// clean-side dot products.
+// clean-side edge products.
 //
 // A Wave lifts that shared work out of the proposal loop. BindRound
 // computes, once per round, the outer-partial lanes of every root-path
 // node v:
 //
-//	outer_v[x](pat) = Σ_y M_{v→clean(v)}[x][y] · cond_{clean(v),y}(pat)
+//	outer_v[x](pat) = (P_{v→clean(v)} · cond_{clean(v)}(pat))_x
 //
-// — the clean-child dot product the kernel would otherwise evaluate per
-// candidate — plus the round-invariant transition matrices of the chain
-// edges above the ancestor. Eval then evaluates the whole candidate set as
-// one fused (proposal × pattern-block) grid: each cell computes its
-// block's target and parent rows, then walks the root path multiplying a
-// single dirty-side dot product against the shared outer lane per node,
-// and finishes with the block's root-contraction partial. Per-proposal
-// work drops from two dot products per root-path node to one, from two
-// fresh transition matrices per dirty node to five per proposal plus a
-// shared set, and the round's N nested block launches fuse into one grid.
+// — the clean-child edge product the kernel would otherwise evaluate per
+// candidate — plus the round-invariant transitions of the chain edges
+// above the ancestor. Eval then evaluates the whole candidate set as one
+// fused (proposal × pattern-block) grid: each cell computes its block's
+// target and parent rows, then walks the root path multiplying a single
+// dirty-side edge product against the shared outer lane per node, and
+// finishes with the block's root-contraction partial. Per-proposal work
+// drops from two edge products per root-path node to one, from two fresh
+// edge transitions per dirty node to five per proposal plus a shared set,
+// and the round's N nested block launches fuse into one grid. Every edge
+// product is the closed form subst.Coeffs.Apply, as in runBlock.
 //
 // # Bit-identity with the per-candidate path
 //
@@ -36,12 +37,12 @@ package felsen
 // exact bits LogLikelihoodDelta returns for every candidate. That holds
 // because the lift only ever precomputes one full operand of a
 // multiplication the per-candidate kernel performs anyway — outer_v is
-// evaluated with the same left-to-right association as runBlock's fused
-// dot product, from the same cached lanes and the same deterministic
-// TransitionInto matrices — and IEEE-754 multiplication and addition are
-// commutative at the bit level, so (inner·outer) and (ls+rs) do not care
-// which side was cached. The per-node operation order (children dots,
-// running maximum, rescale test, scale add) matches runBlock exactly, the
+// evaluated by the same subst.Coeffs.Apply runBlock calls, from the same
+// cached lanes and the same deterministic CoeffsAt coefficients — and
+// IEEE-754 multiplication and addition are commutative at the bit level,
+// so (inner·outer) and (ls+rs) do not care which side was cached. The
+// per-node operation order (children's edge products, rescale test and
+// shared rescale helper, scale add) matches runBlock exactly, the
 // per-pattern order within a block and the block partial order within a
 // proposal are fixed, and the grid cells write disjoint slots. Results are
 // therefore bit-identical across worker counts, repeat runs, kill/resume,
@@ -59,29 +60,26 @@ package felsen
 // panics without a bound round.
 
 import (
-	"math"
-
 	"mpcgs/internal/gtree"
-	"mpcgs/internal/logspace"
 	"mpcgs/internal/subst"
 )
 
 // waveProp is one live candidate of the bound round: its tree, the output
-// slot its log-likelihood lands in, and the five proposal-specific
-// transition matrices (the target's two child edges, the parent's two
-// child edges, and the ancestor→parent edge — every other edge the
-// evaluation touches is round-invariant and shared).
+// slot its log-likelihood lands in, and the five proposal-specific edge
+// transitions (the target's two child edges, the parent's two child
+// edges, and the ancestor→parent edge — every other edge the evaluation
+// touches is round-invariant and shared).
 type waveProp struct {
 	t    *gtree.Tree
 	slot int
-	// tm0/tm1 are the target's child-edge matrices in Child-array order.
-	tm0, tm1 subst.Matrix
-	// pmPhi is the parent→φ edge matrix, pmClean the parent's other
-	// (clean) child edge matrix; pclean that child's node index.
-	pmPhi, pmClean subst.Matrix
+	// tm0/tm1 are the target's child edges in Child-array order.
+	tm0, tm1 subst.Coeffs
+	// pmPhi is the parent→φ edge, pmClean the parent's other (clean)
+	// child edge; pclean that child's node index.
+	pmPhi, pmClean subst.Coeffs
 	pclean         int
-	// am is the ancestor→parent edge matrix; unused in the root case.
-	am subst.Matrix
+	// am is the ancestor→parent edge; unused in the root case.
+	am subst.Coeffs
 	// tl/tr/cv are the target's children's and the parent's clean child's
 	// full-length lane sources (tip table or cache), resolved once per
 	// proposal so the grid cells select tip cells by slicing instead of
@@ -115,12 +113,12 @@ type Wave struct {
 	// ancestor, path[len-1] the root. Empty in the root case.
 	path []int
 	// cleanCh[k] is path[k]'s child off the chain (the untouched sibling
-	// subtree); chainMats[k] the path[k]→path[k-1] edge matrix for k ≥ 1
-	// (the k = 0 edge, ancestor→parent, is proposal-specific);
-	// cleanMats[k] the path[k]→cleanCh[k] edge matrix.
+	// subtree); chainEdge[k] the path[k]→path[k-1] edge for k ≥ 1 (the
+	// k = 0 edge, ancestor→parent, is proposal-specific); cleanEdge[k]
+	// the path[k]→cleanCh[k] edge.
 	cleanCh   []int
-	chainMats []subst.Matrix
-	cleanMats []subst.Matrix
+	chainEdge []subst.Coeffs
+	cleanEdge []subst.Coeffs
 	// outer holds the lift lanes, path-node-major: node k's state lane x
 	// is outer[(k*nStates+x)*nPatterns:][:nPatterns]. cleanCond[k] and
 	// cleanScale[k] are cleanCh[k]'s state lanes and rescaling-log lane
@@ -165,7 +163,7 @@ func (w *Wave) rowOf(node int) (cond, scale []float64) {
 
 // BindRound fixes the round's resimulation target φ and computes the
 // outer-partial lift against the cache's current base: the root path, its
-// round-invariant edge matrices, and every path node's clean-side dot
+// round-invariant edge transitions, and every path node's clean-side edge
 // product lanes. Must be called after the cache is settled on the current
 // state and before Eval; any cache rebase or new φ requires a new bind.
 //
@@ -199,12 +197,12 @@ func (w *Wave) BindRound(phi int) {
 		prev = v
 	}
 	depth := len(w.path)
-	if cap(w.chainMats) < depth {
-		w.chainMats = make([]subst.Matrix, depth) //mpcgsvet:ignore-alloc cap-guarded per-round growth, amortized over the run
-		w.cleanMats = make([]subst.Matrix, depth) //mpcgsvet:ignore-alloc cap-guarded per-round growth, amortized over the run
+	if cap(w.chainEdge) < depth {
+		w.chainEdge = make([]subst.Coeffs, depth) //mpcgsvet:ignore-alloc cap-guarded per-round growth, amortized over the run
+		w.cleanEdge = make([]subst.Coeffs, depth) //mpcgsvet:ignore-alloc cap-guarded per-round growth, amortized over the run
 	} else {
-		w.chainMats = w.chainMats[:depth]
-		w.cleanMats = w.cleanMats[:depth]
+		w.chainEdge = w.chainEdge[:depth]
+		w.cleanEdge = w.cleanEdge[:depth]
 	}
 	w.cleanCond = w.cleanCond[:0]
 	w.cleanScale = w.cleanScale[:0]
@@ -213,19 +211,19 @@ func (w *Wave) BindRound(phi int) {
 		vn := &base.Nodes[v]
 		if k > 0 {
 			// Both endpoints of the chain edge are untouched by every
-			// candidate, so the matrix is round-invariant. (The k = 0
-			// edge length depends on the candidate's parent age.)
-			e.model.TransitionInto(vn.Age-base.Nodes[prev].Age, &w.chainMats[k])
+			// candidate, so its transition is round-invariant. (The
+			// k = 0 edge length depends on the candidate's parent age.)
+			w.chainEdge[k] = e.model.CoeffsAt(vn.Age - base.Nodes[prev].Age)
 		}
 		clean := w.cleanCh[k]
-		e.model.TransitionInto(vn.Age-base.Nodes[clean].Age, &w.cleanMats[k])
+		w.cleanEdge[k] = e.model.CoeffsAt(vn.Age - base.Nodes[clean].Age)
 		cc, cs := w.rowOf(clean)
 		w.cleanCond = append(w.cleanCond, cc)
 		w.cleanScale = append(w.cleanScale, cs)
 		prev = v
 	}
 
-	// Lift lanes: one clean-side dot product per path node, state and
+	// Lift lanes: one clean-side edge product per path node, state and
 	// pattern — shared by every candidate of the round.
 	nPat := e.nPatterns
 	if need := depth * nStates * nPat; cap(w.outer) < need {
@@ -251,9 +249,9 @@ func (w *Wave) BindRound(phi int) {
 }
 
 // runLiftBlock fills one pattern block of every path node's outer lanes:
-// outer_k[x] = cleanMats[k][x]·cond_clean per pattern, with the same fused
-// left-to-right dot product runBlock evaluates — the lift must produce the
-// exact bits the per-candidate kernel would.
+// outer_k = cleanEdge[k]·cond_clean per pattern, through the same
+// Coeffs.Apply runBlock calls — the lift must produce the exact bits the
+// per-candidate kernel would.
 //
 //mpcgs:hotpath
 func (w *Wave) runLiftBlock(b int) {
@@ -264,12 +262,9 @@ func (w *Wave) runLiftBlock(b int) {
 	if hi > nPat {
 		hi = nPat
 	}
+	fA, fC, fG, fT := e.freqs[0], e.freqs[1], e.freqs[2], e.freqs[3]
 	for k := range w.path {
-		m := &w.cleanMats[k]
-		b00, b01, b02, b03 := m[0][0], m[0][1], m[0][2], m[0][3]
-		b10, b11, b12, b13 := m[1][0], m[1][1], m[1][2], m[1][3]
-		b20, b21, b22, b23 := m[2][0], m[2][1], m[2][2], m[2][3]
-		b30, b31, b32, b33 := m[3][0], m[3][1], m[3][2], m[3][3]
+		p := w.cleanEdge[k]
 		vc := w.cleanCond[k]
 		v0 := vc[lo:hi]
 		v1 := vc[nPat+lo : nPat+hi]
@@ -284,11 +279,7 @@ func (w *Wave) runLiftBlock(b int) {
 		o1, o2, o3 = o1[:n], o2[:n], o3[:n]
 		v0, v1, v2, v3 = v0[:n], v1[:n], v2[:n], v3[:n]
 		for i := range o0 {
-			x0, x1, x2, x3 := v0[i], v1[i], v2[i], v3[i]
-			o0[i] = b00*x0 + b01*x1 + b02*x2 + b03*x3
-			o1[i] = b10*x0 + b11*x1 + b12*x2 + b13*x3
-			o2[i] = b20*x0 + b21*x1 + b22*x2 + b23*x3
-			o3[i] = b30*x0 + b31*x1 + b32*x2 + b33*x3
+			o0[i], o1[i], o2[i], o3[i] = p.Apply(fA, fC, fG, fT, v0[i], v1[i], v2[i], v3[i])
 		}
 	}
 }
@@ -315,17 +306,17 @@ func (w *Wave) Eval(trees []*gtree.Tree, out []float64) {
 		w.props = append(w.props, waveProp{t: t, slot: slot})
 		pr := &w.props[len(w.props)-1]
 		tn := &t.Nodes[w.phi]
-		e.model.TransitionInto(tn.Age-t.Nodes[tn.Child[0]].Age, &pr.tm0)
-		e.model.TransitionInto(tn.Age-t.Nodes[tn.Child[1]].Age, &pr.tm1)
+		pr.tm0 = e.model.CoeffsAt(tn.Age - t.Nodes[tn.Child[0]].Age)
+		pr.tm1 = e.model.CoeffsAt(tn.Age - t.Nodes[tn.Child[1]].Age)
 		pn := &t.Nodes[w.parent]
 		pr.pclean = pn.Child[0]
 		if pr.pclean == w.phi {
 			pr.pclean = pn.Child[1]
 		}
-		e.model.TransitionInto(pn.Age-tn.Age, &pr.pmPhi)
-		e.model.TransitionInto(pn.Age-t.Nodes[pr.pclean].Age, &pr.pmClean)
+		pr.pmPhi = e.model.CoeffsAt(pn.Age - tn.Age)
+		pr.pmClean = e.model.CoeffsAt(pn.Age - t.Nodes[pr.pclean].Age)
 		if !w.rootCase {
-			e.model.TransitionInto(w.c.base.Nodes[w.path[0]].Age-pn.Age, &pr.am)
+			pr.am = e.model.CoeffsAt(w.c.base.Nodes[w.path[0]].Age - pn.Age)
 		}
 		// Resolve the clean rows the cells will stream — the target's two
 		// children and the parent's clean child — once per proposal, so the
@@ -404,28 +395,25 @@ func (w *Wave) runCell(cell int) {
 	ss := ws.scale[:n]
 
 	// Fused target-and-parent pass: the target row (both children clean)
-	// is carried per pattern in registers straight into the parent's dot
+	// is carried per pattern in registers straight into the parent's edge
 	// products, so the neighbourhood costs one loop and only the parent
 	// row is ever stored. Each node's arithmetic is runBlock's, with the
-	// same matrix↔child pairing; the two dot factors and the two scale
-	// summands commute bit-exactly, so evaluating the φ side first is the
-	// per-candidate kernel's result regardless of Child-array order.
+	// same edge↔child pairing; the two edge-product factors and the two
+	// scale summands commute bit-exactly, so evaluating the φ side first
+	// is the per-candidate kernel's result regardless of Child-array order.
 	tl := laneSlice(pr.tlc, pr.tls, nPat, lo, hi)
 	tr := laneSlice(pr.trc, pr.trs, nPat, lo, hi)
 	cv := laneSlice(pr.cvc, pr.cvs, nPat, lo, hi)
-	waveNeighbourhood(pr, tl, tr, cv, laneView{s0, s1, s2, s3, ss})
+	waveNeighbourhood(&e.freqs, pr, tl, tr, cv, laneView{s0, s1, s2, s3, ss})
 
-	// Root path: one dirty-side dot per node against the shared outer
-	// lane, then the same max/rescale/scale sequence as runBlock.
+	// Root path: one dirty-side edge product per node against the shared
+	// outer lane, then the same rescale/scale sequence as runBlock.
+	fA, fC, fG, fT := e.freqs[0], e.freqs[1], e.freqs[2], e.freqs[3]
 	for k := range w.path {
-		m := &pr.am
+		p := pr.am
 		if k > 0 {
-			m = &w.chainMats[k]
+			p = w.chainEdge[k]
 		}
-		a00, a01, a02, a03 := m[0][0], m[0][1], m[0][2], m[0][3]
-		a10, a11, a12, a13 := m[1][0], m[1][1], m[1][2], m[1][3]
-		a20, a21, a22, a23 := m[2][0], m[2][1], m[2][2], m[2][3]
-		a30, a31, a32, a33 := m[3][0], m[3][1], m[3][2], m[3][3]
 		base := k * nStates * nPat
 		o0 := w.outer[base+lo : base+hi]
 		o1 := w.outer[base+nPat+lo : base+nPat+hi]
@@ -435,32 +423,11 @@ func (w *Wave) runCell(cell int) {
 		o0 = o0[:n]
 		o1, o2, o3, cs = o1[:n], o2[:n], o3[:n], cs[:n]
 		for i := range s0 {
-			u0, u1, u2, u3 := s0[i], s1[i], s2[i], s3[i]
-			w0 := (a00*u0 + a01*u1 + a02*u2 + a03*u3) * o0[i]
-			w1 := (a10*u0 + a11*u1 + a12*u2 + a13*u3) * o1[i]
-			w2 := (a20*u0 + a21*u1 + a22*u2 + a23*u3) * o2[i]
-			w3 := (a30*u0 + a31*u1 + a32*u2 + a33*u3) * o3[i]
-			maxv := 0.0
-			if w0 > maxv {
-				maxv = w0
-			}
-			if w1 > maxv {
-				maxv = w1
-			}
-			if w2 > maxv {
-				maxv = w2
-			}
-			if w3 > maxv {
-				maxv = w3
-			}
+			a0, a1, a2, a3 := p.Apply(fA, fC, fG, fT, s0[i], s1[i], s2[i], s3[i])
+			w0, w1, w2, w3 := a0*o0[i], a1*o1[i], a2*o2[i], a3*o3[i]
 			sc := ss[i] + cs[i]
-			if maxv < rescaleThreshold && maxv > 0 {
-				inv := 1 / maxv
-				w0 *= inv
-				w1 *= inv
-				w2 *= inv
-				w3 *= inv
-				sc += math.Log(maxv)
+			if w0 < rescaleThreshold && w1 < rescaleThreshold && w2 < rescaleThreshold && w3 < rescaleThreshold {
+				w0, w1, w2, w3, sc = rescale(w0, w1, w2, w3, sc)
 			}
 			s0[i] = w0
 			s1[i] = w1
@@ -470,21 +437,9 @@ func (w *Wave) runCell(cell int) {
 		}
 	}
 
-	// Root contraction with the prior frequencies, per pattern — the
-	// working row now holds the root (the parent itself in the root case).
-	f0, f1, f2, f3 := e.freqs[0], e.freqs[1], e.freqs[2], e.freqs[3]
-	pc := e.patCount[lo:hi]
-	pc = pc[:n]
-	sum := 0.0
-	for i := range s0 {
-		siteL := f0*s0[i] + f1*s1[i] + f2*s2[i] + f3*s3[i]
-		if siteL <= 0 {
-			sum += logspace.NegInf
-			continue
-		}
-		sum += pc[i] * (math.Log(siteL) + ss[i])
-	}
-	w.sums[cell] = sum
+	// Root contraction: the working row now holds the root (the parent
+	// itself in the root case).
+	w.sums[cell] = rootLogLik(&e.freqs, laneView{s0, s1, s2, s3, ss}, e.patCount[lo:hi])
 	e.wavePool.Put(ws)
 }
 
@@ -508,32 +463,18 @@ func laneSlice(cond, scale []float64, nPat, lo, hi int) laneView {
 // waveNeighbourhood fuses the resimulated neighbourhood's two node
 // evaluations over a cell's pattern range: the target row — computed from
 // its children l and r (the candidate's Child-array order) — is carried
-// per pattern in registers straight into the parent's dot products
+// per pattern in registers straight into the parent's edge products
 // against the parent's clean-child row c, and only the parent row is
 // stored, into o. Each node's arithmetic is exactly runBlock's inner
-// loop (children dots, running maximum, rescale test, scale add); at the
+// loop (children's edge products, rescale test, scale add); at the
 // parent, the φ-side factor is evaluated first regardless of Child-array
-// order, which is bit-identical because the two dot factors and the two
+// order, which is bit-identical because the two factors and the two
 // scale summands commute.
 //
 //mpcgs:hotpath
-func waveNeighbourhood(pr *waveProp, l, r, c, o laneView) {
-	a00, a01, a02, a03 := pr.tm0[0][0], pr.tm0[0][1], pr.tm0[0][2], pr.tm0[0][3]
-	a10, a11, a12, a13 := pr.tm0[1][0], pr.tm0[1][1], pr.tm0[1][2], pr.tm0[1][3]
-	a20, a21, a22, a23 := pr.tm0[2][0], pr.tm0[2][1], pr.tm0[2][2], pr.tm0[2][3]
-	a30, a31, a32, a33 := pr.tm0[3][0], pr.tm0[3][1], pr.tm0[3][2], pr.tm0[3][3]
-	b00, b01, b02, b03 := pr.tm1[0][0], pr.tm1[0][1], pr.tm1[0][2], pr.tm1[0][3]
-	b10, b11, b12, b13 := pr.tm1[1][0], pr.tm1[1][1], pr.tm1[1][2], pr.tm1[1][3]
-	b20, b21, b22, b23 := pr.tm1[2][0], pr.tm1[2][1], pr.tm1[2][2], pr.tm1[2][3]
-	b30, b31, b32, b33 := pr.tm1[3][0], pr.tm1[3][1], pr.tm1[3][2], pr.tm1[3][3]
-	p00, p01, p02, p03 := pr.pmPhi[0][0], pr.pmPhi[0][1], pr.pmPhi[0][2], pr.pmPhi[0][3]
-	p10, p11, p12, p13 := pr.pmPhi[1][0], pr.pmPhi[1][1], pr.pmPhi[1][2], pr.pmPhi[1][3]
-	p20, p21, p22, p23 := pr.pmPhi[2][0], pr.pmPhi[2][1], pr.pmPhi[2][2], pr.pmPhi[2][3]
-	p30, p31, p32, p33 := pr.pmPhi[3][0], pr.pmPhi[3][1], pr.pmPhi[3][2], pr.pmPhi[3][3]
-	q00, q01, q02, q03 := pr.pmClean[0][0], pr.pmClean[0][1], pr.pmClean[0][2], pr.pmClean[0][3]
-	q10, q11, q12, q13 := pr.pmClean[1][0], pr.pmClean[1][1], pr.pmClean[1][2], pr.pmClean[1][3]
-	q20, q21, q22, q23 := pr.pmClean[2][0], pr.pmClean[2][1], pr.pmClean[2][2], pr.pmClean[2][3]
-	q30, q31, q32, q33 := pr.pmClean[3][0], pr.pmClean[3][1], pr.pmClean[3][2], pr.pmClean[3][3]
+func waveNeighbourhood(freqs *[4]float64, pr *waveProp, l, r, c, o laneView) {
+	fA, fC, fG, fT := freqs[0], freqs[1], freqs[2], freqs[3]
+	tm0, tm1, pmPhi, pmClean := pr.tm0, pr.tm1, pr.pmPhi, pr.pmClean
 	o0 := o.l0
 	n := len(o0)
 	o1, o2, o3, os := o.l1[:n], o.l2[:n], o.l3[:n], o.ls[:n]
@@ -541,60 +482,19 @@ func waveNeighbourhood(pr *waveProp, l, r, c, o laneView) {
 	r0, r1, r2, r3, rs := r.l0[:n], r.l1[:n], r.l2[:n], r.l3[:n], r.ls[:n]
 	c0, c1, c2, c3, cs := c.l0[:n], c.l1[:n], c.l2[:n], c.l3[:n], c.ls[:n]
 	for i := range o0 {
-		u0, u1, u2, u3 := l0[i], l1[i], l2[i], l3[i]
-		v0, v1, v2, v3 := r0[i], r1[i], r2[i], r3[i]
-		t0 := (a00*u0 + a01*u1 + a02*u2 + a03*u3) * (b00*v0 + b01*v1 + b02*v2 + b03*v3)
-		t1 := (a10*u0 + a11*u1 + a12*u2 + a13*u3) * (b10*v0 + b11*v1 + b12*v2 + b13*v3)
-		t2 := (a20*u0 + a21*u1 + a22*u2 + a23*u3) * (b20*v0 + b21*v1 + b22*v2 + b23*v3)
-		t3 := (a30*u0 + a31*u1 + a32*u2 + a33*u3) * (b30*v0 + b31*v1 + b32*v2 + b33*v3)
-		maxv := 0.0
-		if t0 > maxv {
-			maxv = t0
-		}
-		if t1 > maxv {
-			maxv = t1
-		}
-		if t2 > maxv {
-			maxv = t2
-		}
-		if t3 > maxv {
-			maxv = t3
-		}
+		a0, a1, a2, a3 := tm0.Apply(fA, fC, fG, fT, l0[i], l1[i], l2[i], l3[i])
+		b0, b1, b2, b3 := tm1.Apply(fA, fC, fG, fT, r0[i], r1[i], r2[i], r3[i])
+		t0, t1, t2, t3 := a0*b0, a1*b1, a2*b2, a3*b3
 		tsc := ls[i] + rs[i]
-		if maxv < rescaleThreshold && maxv > 0 {
-			inv := 1 / maxv
-			t0 *= inv
-			t1 *= inv
-			t2 *= inv
-			t3 *= inv
-			tsc += math.Log(maxv)
+		if t0 < rescaleThreshold && t1 < rescaleThreshold && t2 < rescaleThreshold && t3 < rescaleThreshold {
+			t0, t1, t2, t3, tsc = rescale(t0, t1, t2, t3, tsc)
 		}
-		x0, x1, x2, x3 := c0[i], c1[i], c2[i], c3[i]
-		w0 := (p00*t0 + p01*t1 + p02*t2 + p03*t3) * (q00*x0 + q01*x1 + q02*x2 + q03*x3)
-		w1 := (p10*t0 + p11*t1 + p12*t2 + p13*t3) * (q10*x0 + q11*x1 + q12*x2 + q13*x3)
-		w2 := (p20*t0 + p21*t1 + p22*t2 + p23*t3) * (q20*x0 + q21*x1 + q22*x2 + q23*x3)
-		w3 := (p30*t0 + p31*t1 + p32*t2 + p33*t3) * (q30*x0 + q31*x1 + q32*x2 + q33*x3)
-		maxv = 0.0
-		if w0 > maxv {
-			maxv = w0
-		}
-		if w1 > maxv {
-			maxv = w1
-		}
-		if w2 > maxv {
-			maxv = w2
-		}
-		if w3 > maxv {
-			maxv = w3
-		}
+		a0, a1, a2, a3 = pmPhi.Apply(fA, fC, fG, fT, t0, t1, t2, t3)
+		b0, b1, b2, b3 = pmClean.Apply(fA, fC, fG, fT, c0[i], c1[i], c2[i], c3[i])
+		w0, w1, w2, w3 := a0*b0, a1*b1, a2*b2, a3*b3
 		sc := tsc + cs[i]
-		if maxv < rescaleThreshold && maxv > 0 {
-			inv := 1 / maxv
-			w0 *= inv
-			w1 *= inv
-			w2 *= inv
-			w3 *= inv
-			sc += math.Log(maxv)
+		if w0 < rescaleThreshold && w1 < rescaleThreshold && w2 < rescaleThreshold && w3 < rescaleThreshold {
+			w0, w1, w2, w3, sc = rescale(w0, w1, w2, w3, sc)
 		}
 		o0[i] = w0
 		o1[i] = w1

@@ -7,6 +7,7 @@ import (
 	"os"
 	"strconv"
 	"strings"
+	"time"
 
 	"mpcgs/internal/ckpt"
 	"mpcgs/internal/core"
@@ -16,6 +17,13 @@ import (
 
 // maxSubmitBytes bounds one submission body (alignment included).
 const maxSubmitBytes = 16 << 20
+
+// submitBodyTimeout bounds how long a submission body may take to
+// arrive, so a client that sends headers and then stalls its body cannot
+// pin a handler goroutine. The server's ReadHeaderTimeout ends once the
+// headers are in, and a server-wide ReadTimeout would also cancel the
+// long-lived SSE /events requests, so the deadline is set per submission.
+const submitBodyTimeout = 10 * time.Second
 
 // retryAfterSeconds is the hint sent with a 429 shed.
 const retryAfterSeconds = 5
@@ -186,6 +194,10 @@ func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
 // failure is reported as a 400 with the reason.
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	var req submitRequest
+	// The deadline stays set after decoding: it also bounds the server's
+	// post-handler drain of any unread remainder of the body. Writers
+	// without connection deadlines (test recorders) just go unbounded.
+	_ = http.NewResponseController(w).SetReadDeadline(time.Now().Add(submitBodyTimeout))
 	body := http.MaxBytesReader(w, r.Body, maxSubmitBytes)
 	dec := json.NewDecoder(body)
 	dec.DisallowUnknownFields()

@@ -1,6 +1,7 @@
 package subst
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -252,6 +253,11 @@ func TestF84KappaZeroEqualsF81(t *testing.T) {
 				}
 			}
 		}
+		// The closed forms agree too, with no group term at all.
+		ca, cb := f84.CoeffsAt(tm), f81.CoeffsAt(tm)
+		if ca.GroupR != 0 || ca.GroupY != 0 || math.Abs(ca.Stay-cb.Stay) > 1e-12 || math.Abs(ca.Any-cb.Any) > 1e-12 {
+			t.Errorf("t=%v: F84(k=0) coefficients %+v != F81 %+v", tm, ca, cb)
+		}
 	}
 }
 
@@ -338,6 +344,51 @@ func TestSameGroup(t *testing.T) {
 	for _, c := range cases {
 		if got := sameGroup(c.x, c.y); got != c.want {
 			t.Errorf("sameGroup(%d,%d) = %v, want %v", c.x, c.y, got, c.want)
+		}
+	}
+}
+
+// TestCoeffsMatchTransition checks every model's closed form against its
+// dense matrix: CoeffsAt(t).Apply(u) must equal TransitionInto(t)·u to
+// 1e-14 relative, from t = 0 to saturation, on random non-negative
+// vectors plus the tip vectors (one-hot and all-ones, for missing data).
+func TestCoeffsMatchTransition(t *testing.T) {
+	models := map[string]Model{"JC69": NewJC69()}
+	for _, normalize := range []bool{true, false} {
+		f81, err := NewF81(skewed, normalize)
+		if err != nil {
+			t.Fatal(err)
+		}
+		models[fmt.Sprintf("F81/norm=%v", normalize)] = f81
+		for _, kappa := range []float64{0, 2} {
+			f84, err := NewF84(skewed, kappa, normalize)
+			if err != nil {
+				t.Fatal(err)
+			}
+			models[fmt.Sprintf("F84/kappa=%v/norm=%v", kappa, normalize)] = f84
+		}
+	}
+	rnd := rand.New(rand.NewSource(13))
+	vecs := [][4]float64{{1, 0, 0, 0}, {0, 1, 0, 0}, {0, 0, 1, 0}, {0, 0, 0, 1}, {1, 1, 1, 1}}
+	for len(vecs) < 40 {
+		vecs = append(vecs, [4]float64{rnd.Float64(), rnd.Float64(), rnd.Float64(), rnd.Float64()})
+	}
+	for name, m := range models {
+		pi := m.Freqs()
+		for _, tm := range []float64{0, 1e-12, 1e-3, 0.5, 1, 50} {
+			var p Matrix
+			m.TransitionInto(tm, &p)
+			c := m.CoeffsAt(tm)
+			for _, u := range vecs {
+				var got [4]float64
+				got[0], got[1], got[2], got[3] = c.Apply(pi[0], pi[1], pi[2], pi[3], u[0], u[1], u[2], u[3])
+				for x := 0; x < 4; x++ {
+					want := p[x][0]*u[0] + p[x][1]*u[1] + p[x][2]*u[2] + p[x][3]*u[3]
+					if math.Abs(got[x]-want) > 1e-14*want {
+						t.Errorf("%s t=%v u=%v: closed form [%d] = %v, matrix = %v", name, tm, u, x, got[x], want)
+					}
+				}
+			}
 		}
 	}
 }
