@@ -17,13 +17,21 @@ import (
 // Each iteration draws the auxiliary variable φ (a target neighbourhood,
 // uniform over non-root interior nodes), generates N proposals in parallel
 // by resimulating that same neighbourhood of the current state — each
-// proposal on its own device thread with its own PRNG stream, computing
-// its own data likelihood exactly as the paper's proposal kernel does
-// (§5.2.1) — and then draws SamplesPerSet states from the stationary
-// distribution of the index chain, whose weights reduce to the data
-// likelihoods P(D|G̃_i) (Eq. 29-31). The last draw seeds the next proposal
-// round. Burn-in uses the same parallel machinery: there is no serial
-// burn-in component (§4.1).
+// proposal on its own device thread with its own PRNG stream (§5.2.1) —
+// and then draws SamplesPerSet states from the stationary distribution of
+// the index chain, whose weights reduce to the data likelihoods P(D|G̃_i)
+// (Eq. 29-31). The last draw seeds the next proposal round. Burn-in uses
+// the same parallel machinery: there is no serial burn-in component
+// (§4.1).
+//
+// Work that is the same for every candidate is done once per round rather
+// than per proposal: the §4.2 region analysis (feasible intervals,
+// inactive-lineage counts, transition tables and the backward completion
+// recursion) depends only on the current state, φ and θ, so the round
+// analyzes it once and each proposal thread runs only the forward walk
+// against it; likewise the wave evaluator lifts the shared root path once
+// per round. The draws and likelihoods are bit-identical to N independent
+// resimulations and evaluations.
 //
 // The round loop is allocation-free: proposal trees, weight/statistic
 // arrays, age buffers and the kernel closure are set up once and reused
@@ -79,9 +87,12 @@ type gmhRun struct {
 	perSet int
 	total  int
 
-	host      *rng.MT19937
-	streams   *rng.StreamSet
-	scratches []*resim.Scratch
+	host    *rng.MT19937
+	streams *rng.StreamSet
+	// region is the round's resimulation region: analyzed once per round
+	// on the current state, then read concurrently by every candidate's
+	// Draw.
+	region *resim.Scratch
 
 	set   []*gtree.Tree
 	logw  []float64
@@ -134,12 +145,7 @@ func (g *GMH) Start(init *gtree.Tree, cfg ChainConfig) (Stepper, error) {
 		total:   cfg.Burnin + cfg.Samples,
 		host:    seedSource(cfg.Seed, 2),
 		streams: rng.NewStreamSet(n, cfg.Seed^0x9e3779b97f4a7c15),
-	}
-	// One resimulation scratch per stream: the proposal kernel's region
-	// analysis reuses it every round, so draws allocate nothing.
-	r.scratches = make([]*resim.Scratch, n)
-	for i := range r.scratches {
-		r.scratches[i] = resim.NewScratch()
+		region:  resim.NewScratch(),
 	}
 
 	// Proposal set: slot 0 holds the current state, slots 1..N the new
@@ -190,16 +196,19 @@ func (g *GMH) Start(init *gtree.Tree, cfg ChainConfig) (Stepper, error) {
 
 	// Proposal kernel: one device thread per candidate (§5.2.1). The
 	// thread owning the current state stays idle, exactly as the paper
-	// notes for the generator's thread. The closure is built once; phi,
-	// cur and slots are rebound per round before the launch. On the wave
-	// path the kernel only resimulates and summarizes — the likelihoods of
-	// the whole set are computed afterwards as one fused grid.
+	// notes for the generator's thread. The closure is built once; cur and
+	// slots are rebound, and the shared region analyzed, per round before
+	// the launch. Each thread only draws: it copies the current state and
+	// runs the forward walk against the round's region with its own
+	// stream. On the wave path the kernel only resimulates and summarizes
+	// — the likelihoods of the whole set are computed afterwards as one
+	// fused grid.
 	r.slots = make([]int, 0, n)
 	r.kernel = func(tid int) {
 		i := r.slots[tid]
 		p := r.set[i]
 		p.CopyFrom(r.set[r.cur])
-		if err := resim.ResimulateScratch(p, r.phi, r.theta, r.streams.Stream(tid), r.scratches[tid]); err != nil {
+		if err := r.region.Draw(p, r.streams.Stream(tid)); err != nil {
 			// A numerically impossible region: the candidate gets zero
 			// weight and can never be sampled; the round proceeds.
 			r.errs[tid] = err
@@ -239,7 +248,18 @@ func (r *gmhRun) Step() error {
 			r.slots = append(r.slots, i)
 		}
 	}
-	r.g.dev.Launch(r.n, r.kernel)
+	// The region analysis depends only on (current state, φ, θ), so it is
+	// done once here and shared read-only by every candidate's draw. A
+	// region that cannot be analyzed fails every candidate of the round,
+	// with no randomness consumed, exactly as N failed draws would.
+	if err := r.region.Analyze(r.set[r.cur], r.phi, r.theta); err != nil {
+		for tid, i := range r.slots {
+			r.errs[tid] = err
+			r.logw[i] = logspace.NegInf
+		}
+	} else {
+		r.g.dev.Launch(r.n, r.kernel)
+	}
 	r.res.Proposals += r.n
 	for _, err := range r.errs {
 		if err != nil {

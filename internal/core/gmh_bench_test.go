@@ -11,10 +11,10 @@ import (
 
 // BenchmarkGMHRound times full GMH sampling runs (8 proposals, 8 draws
 // per round) on the paper's Table 1 workload. allocs/op is the headline:
-// the GMH round loop, the delta likelihood path and — since the per-stream
-// resim.Scratch — the resimulation kernel's region analysis all allocate
-// nothing, so what remains is per-Run setup (slot trees, caches, streams,
-// scratches), a fixed cost amortized over the chain length. The harness is
+// the GMH round loop, the delta likelihood path and — through the round's
+// shared resim.Scratch — the resimulation kernel's region analysis all
+// allocate nothing, so what remains is per-Run setup (slot trees, caches,
+// streams, scratch), a fixed cost amortized over the chain length. The harness is
 // kept exactly as it has always been (whole Run, setup included) so
 // benchstat deltas across commits compare like with like.
 func BenchmarkGMHRound(b *testing.B) {

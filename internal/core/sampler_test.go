@@ -125,6 +125,83 @@ func TestMultiChainFlatDataSamplesPrior(t *testing.T) {
 	}
 }
 
+// batchMeansSE is the batch-means Monte Carlo standard error of the mean
+// of a correlated chain: the standard deviation of nb contiguous batch
+// means over √nb.
+func batchMeansSE(xs []float64, nb int) float64 {
+	size := len(xs) / nb
+	means := make([]float64, nb)
+	grand := 0.0
+	for b := range means {
+		for _, x := range xs[b*size : (b+1)*size] {
+			means[b] += x
+		}
+		means[b] /= float64(size)
+		grand += means[b]
+	}
+	grand /= float64(nb)
+	ss := 0.0
+	for _, m := range means {
+		ss += (m - grand) * (m - grand)
+	}
+	return math.Sqrt(ss / float64(nb-1) / float64(nb))
+}
+
+// TestFlatDataPriorGroundTruth checks the resimulation kernel against
+// exact answers rather than against another implementation: with no data
+// (an all-missing alignment) the posterior is the coalescent prior, whose
+// moments are known in closed form. Under rates k(k−1)/θ, E[T_MRCA] =
+// θ(1 − 1/n) and E[Σ k(k−1)t_k] = (n − 1)θ. GMH at N = 8 (every round's
+// candidates drawn from one shared region analysis) and MH (one
+// analysis per draw) must each hit both within 4 batch-means standard
+// errors.
+func TestFlatDataPriorGroundTruth(t *testing.T) {
+	const (
+		n       = 5
+		theta   = 1.0
+		samples = 40000
+		batches = 40
+	)
+	wantTMRCA := theta * (1 - 1.0/n)
+	wantS := float64(n-1) * theta
+	dev := device.New(2)
+	eval := flatEvaluator(t, n, dev)
+	cfg := ChainConfig{Theta: theta, Burnin: 500, Samples: samples, Seed: 31}
+	for _, s := range []Sampler{NewGMH(eval, dev, 8), NewMH(eval)} {
+		res, err := s.Run(startTree(t, names(n), theta, 32), cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.FailedProposals != 0 {
+			t.Errorf("%s: %d failed proposals on flat data", s.Name(), res.FailedProposals)
+		}
+		stats := res.Samples.PostBurninStats()
+		ages := res.Samples.PostBurninAges()
+		tmrca := make([]float64, len(ages))
+		for i, a := range ages {
+			tmrca[i] = a[len(a)-1]
+		}
+		for _, m := range []struct {
+			name string
+			xs   []float64
+			want float64
+		}{{"T_MRCA", tmrca, wantTMRCA}, {"Σk(k−1)t_k", stats, wantS}} {
+			mean := 0.0
+			for _, x := range m.xs {
+				mean += x
+			}
+			mean /= float64(len(m.xs))
+			se := batchMeansSE(m.xs, batches)
+			if z := (mean - m.want) / se; math.Abs(z) > 4 {
+				t.Errorf("%s: E[%s] = %.4f ± %.4f (batch-means SE), want %.4f: %.1f SEs off the coalescent prior",
+					s.Name(), m.name, mean, se, m.want, z)
+			} else {
+				t.Logf("%s: E[%s] = %.4f ± %.4f, want %.4f (z = %+.2f)", s.Name(), m.name, mean, se, m.want, z)
+			}
+		}
+	}
+}
+
 func TestMHDeterministic(t *testing.T) {
 	aln, _, err := seqgen.SimulateData(6, 60, 1.0, 21)
 	if err != nil {

@@ -19,13 +19,14 @@ package felsen
 //     per evaluator; conditionals are computed per pattern and the per-
 //     pattern log-likelihoods enter the total with their multiplicities.
 //     This is an exact transformation of the sum over sites.
-//   - Tip conditionals never enter the cache: they are immutable for the
-//     evaluator's lifetime, so they live once in a shared per-tip pattern
-//     table (Evaluator.tipCond) and the cache holds interior nodes only.
+//   - Tip conditionals never enter the cache, nor any other buffer: a tip
+//     is read through its per-pattern base codes and a tip table of the
+//     edge above it (five edge products, one per possible tip vector,
+//     gathered per pattern), and the cache holds interior nodes only.
 //
 // # Lane layout
 //
-// All conditional storage — the cache, the tip table and the scratch — is
+// All conditional storage — the cache and the scratch — is
 // structure-of-arrays: a node's conditionals are four contiguous
 // per-state float64 lanes of one value per pattern, followed (in a
 // separate array) by one scale lane carrying the accumulated rescaling
@@ -122,6 +123,7 @@ type deltaScratch struct {
 	order  []int
 	pos    []int          // node -> index into order, valid for dirty nodes
 	coeffs []subst.Coeffs // closed-form edge transitions, indexed by child node
+	tabs   []tipTable     // tip tables of dirty nodes' tip children, indexed by tip
 	// cond/scale hold the recomputed rows of evaluations that do not
 	// write through to the cache, laid out exactly like the cache's rows
 	// but indexed by pos[node] instead of node-nTips. Grown on demand and
@@ -133,10 +135,10 @@ type deltaScratch struct {
 	// deterministic.
 	sums []float64
 	// rows holds the evaluation's resolved lane sources, indexed like
-	// order: each dirty node's child rows (tip table, staged scratch or
-	// cache), output row and child edge transitions, bound once by
-	// bindRows so the block kernel selects tip cells by plain slice
-	// indexing instead of re-branching per node per block.
+	// order: each dirty node's child operands (tip row with its edge's tip
+	// table, staged scratch or cache), output row and child edge
+	// transitions, bound once by bindRows so the block kernel never
+	// re-decides a child's source per node per block.
 	// rootCond/rootScale are the root row's lanes for the contraction.
 	rows      []rowRef
 	rootCond  []float64
@@ -151,16 +153,40 @@ type deltaScratch struct {
 	kernel    func(b int)
 }
 
-// rowRef is one dirty node's pre-resolved evaluation inputs: full-length
-// lane slices (sliced to the block's pattern range inside the kernel)
-// and the two child edge transitions. Resolving these once per
-// evaluation removes the only data-dependent branches — tip table vs
-// scratch vs cache — from the block kernel's node loop.
+// rowRef is one dirty node's pre-resolved evaluation inputs: its two
+// child operands and output row as full-length lanes (sliced to the
+// block's pattern range inside the kernel), and the two child edge
+// transitions. Resolving these once per evaluation removes the
+// data-dependent choice of tip table vs scratch vs cache from the block
+// kernel's node loop.
 type rowRef struct {
-	lc, ls []float64 // left child's state lanes and scale lane
-	rc, rs []float64 // right child's state lanes and scale lane
+	l, r   operand
 	oc, os []float64 // output row's state lanes and scale lane
 	p0, p1 *subst.Coeffs
+}
+
+// operand is one child row as a pattern kernel reads it: an interior
+// node's full-length state lanes and scale lane, or a tip's pattern
+// codes, the consuming edge's tip table and the shared all-zero scale
+// lane (cond is nil and codes non-nil), from which combine gathers the
+// tip's edge product.
+type operand struct {
+	cond, scale []float64
+	codes       []uint8
+	tab         *tipTable
+}
+
+// tipOperand is tip's operand under the edge whose table is tab.
+func (e *Evaluator) tipOperand(tip int, tab *tipTable) operand {
+	return operand{scale: e.zeroScale, codes: e.patBase[tip], tab: tab}
+}
+
+// view slices the operand to the pattern range [lo, hi).
+func (op *operand) view(nPat, lo, hi int) laneView {
+	if op.codes != nil {
+		return laneView{ls: op.scale[lo:hi], codes: op.codes[lo:hi], tab: op.tab}
+	}
+	return laneSlice(op.cond, op.scale, nPat, lo, hi)
 }
 
 // NewDeltaCache allocates an empty cache sized for the evaluator's
@@ -387,8 +413,8 @@ func sortByAge(t *gtree.Tree, order []int) {
 }
 
 // evalDelta recomputes the dirty nodes' pattern lanes bottom-up, reading
-// clean conditionals from the cache and tip conditionals from the shared
-// tip table. With writeBack the recomputed lanes go straight into the
+// clean conditionals from the cache and tips through tip tables of their
+// fresh edges. With writeBack the recomputed lanes go straight into the
 // cache (safe because children are processed before parents); otherwise
 // they go into the scratch lanes, from where a DeltaEval can commit them
 // later without re-evaluating. The pattern axis is swept in fixed blocks
@@ -457,9 +483,8 @@ func (e *Evaluator) evalDelta(c *DeltaCache, t *gtree.Tree, ds *deltaScratch, wr
 // must point into the final backing arrays). A dirty child's slice
 // header is resolved before its row is computed, which is safe because
 // the header aliases the array the child's own rowRef writes through.
-// This is the branchless tip-cell selection: the block kernel indexes
-// rows[k] instead of re-deciding tip table vs scratch vs cache for
-// every node in every block.
+// The block kernel then indexes rows[k] instead of re-deciding tip table
+// vs scratch vs cache for every node in every block.
 func (ds *deltaScratch) bindRows(t *gtree.Tree) {
 	nTips := t.NTips()
 	if cap(ds.rows) < len(ds.order) {
@@ -471,16 +496,29 @@ func (ds *deltaScratch) bindRows(t *gtree.Tree) {
 		nd := &t.Nodes[node]
 		c0, c1 := nd.Child[0], nd.Child[1]
 		rr := &ds.rows[k]
-		rr.lc, rr.ls = ds.row(nTips, c0)
-		rr.rc, rr.rs = ds.row(nTips, c1)
+		rr.l = ds.operand(nTips, c0)
+		rr.r = ds.operand(nTips, c1)
 		rr.oc, rr.os = ds.outRow(nTips, node)
 		rr.p0, rr.p1 = &ds.coeffs[c0], &ds.coeffs[c1]
 	}
 	ds.rootCond, ds.rootScale = ds.row(nTips, t.Root)
 }
 
-// row returns a node's conditional lanes for reading: the shared tip
-// table for tips (their scale lane is the shared all-zero lane), the
+// operand resolves a dirty node's child for reading: a tip through the
+// tip table of its (freshly computed) edge — a tip has one parent, so its
+// table slot is written once per evaluation — and an interior node
+// through its row.
+func (ds *deltaScratch) operand(nTips, node int) operand {
+	if node < nTips {
+		ds.tabs[node] = tipTableOf(&ds.e.freqs, ds.coeffs[node])
+		return ds.e.tipOperand(node, &ds.tabs[node])
+	}
+	var op operand
+	op.cond, op.scale = ds.row(nTips, node)
+	return op
+}
+
+// row returns an interior node's conditional lanes for reading: the
 // staged scratch lanes for already-recomputed dirty nodes of a
 // non-write-back evaluation, and the cache otherwise. cond is the node's
 // four contiguous state lanes (lane x at offset x·nPatterns), scale its
@@ -490,8 +528,6 @@ func (ds *deltaScratch) row(nTips, node int) (cond, scale []float64) {
 	e := ds.e
 	nPat := e.nPatterns
 	switch {
-	case node < nTips:
-		return e.tipCond[node*nStates*nPat : (node+1)*nStates*nPat], e.zeroScale
 	case ds.dirty[node] && !ds.writeBack:
 		k := ds.pos[node]
 		return ds.cond[k*nStates*nPat : (k+1)*nStates*nPat], ds.scale[k*nPat : (k+1)*nPat]
@@ -518,13 +554,13 @@ func (ds *deltaScratch) outRow(nTips, node int) (cond, scale []float64) {
 // block's pattern range, bottom-up, then the block's root-contraction
 // partial sum into ds.sums[b]. Blocks touch disjoint pattern ranges of
 // the same rows, so any number of one evaluation's blocks may run
-// concurrently on the pool. The node loop is branchless on lane sources:
-// every row — tip table, staged scratch or cache — was resolved into
-// ds.rows by bindRows, so the kernel only slices and streams. The inner
-// loop is a single fused pass per node — both children's closed-form
-// edge products (subst.Coeffs.Apply), the rare rescale, and the scale
-// lane — over equal-length lane slices indexed by one induction
-// variable, which is what lets the compiler eliminate every bounds check
+// concurrently on the pool. Every row — tip table, staged scratch or
+// cache — was resolved into ds.rows by bindRows, so the kernel only
+// slices and streams. Each node is one combine: a single fused pass over
+// both children's closed-form edge products (subst.Coeffs.Apply, or a
+// tip table gather), the rare rescale, and the scale lane, over
+// equal-length lane slices indexed by one induction variable, which is
+// what lets the compiler eliminate every bounds check
 // (-d=ssa/check_bce) and keep the loads and stores dense. It computes
 // what siteLogLikelihoodIter computes with dense matrices, and agrees
 // with it to floating-point roundoff.
@@ -538,53 +574,104 @@ func (ds *deltaScratch) runBlock(b int) {
 	if hi > nPat {
 		hi = nPat
 	}
-	fA, fC, fG, fT := e.freqs[0], e.freqs[1], e.freqs[2], e.freqs[3]
 	for k := range ds.rows {
 		rr := &ds.rows[k]
-		lc, lsf := rr.lc, rr.ls
-		rc, rsf := rr.rc, rr.rs
-		oc, osf := rr.oc, rr.os
-		p0, p1 := *rr.p0, *rr.p1
-		o0 := oc[lo:hi]
-		o1 := oc[nPat+lo : nPat+hi]
-		o2 := oc[2*nPat+lo : 2*nPat+hi]
-		o3 := oc[3*nPat+lo : 3*nPat+hi]
-		l0 := lc[lo:hi]
-		l1 := lc[nPat+lo : nPat+hi]
-		l2 := lc[2*nPat+lo : 2*nPat+hi]
-		l3 := lc[3*nPat+lo : 3*nPat+hi]
-		r0 := rc[lo:hi]
-		r1 := rc[nPat+lo : nPat+hi]
-		r2 := rc[2*nPat+lo : 2*nPat+hi]
-		r3 := rc[3*nPat+lo : 3*nPat+hi]
-		ls := lsf[lo:hi]
-		rs := rsf[lo:hi]
-		os := osf[lo:hi]
-		// Pin every lane to the loop slice's length so the compiler can
-		// prove i in range for all of them (bounds-check elimination).
-		n := len(o0)
-		o1, o2, o3 = o1[:n], o2[:n], o3[:n]
-		l0, l1, l2, l3 = l0[:n], l1[:n], l2[:n], l3[:n]
-		r0, r1, r2, r3 = r0[:n], r1[:n], r2[:n], r3[:n]
-		ls, rs, os = ls[:n], rs[:n], os[:n]
-		for i := range o0 {
-			a0, a1, a2, a3 := p0.Apply(fA, fC, fG, fT, l0[i], l1[i], l2[i], l3[i])
-			b0, b1, b2, b3 := p1.Apply(fA, fC, fG, fT, r0[i], r1[i], r2[i], r3[i])
-			w0, w1, w2, w3 := a0*b0, a1*b1, a2*b2, a3*b3
-			sc := ls[i] + rs[i]
-			if w0 < rescaleThreshold && w1 < rescaleThreshold && w2 < rescaleThreshold && w3 < rescaleThreshold {
-				w0, w1, w2, w3, sc = rescale(w0, w1, w2, w3, sc)
-			}
-			o0[i] = w0
-			o1[i] = w1
-			o2[i] = w2
-			o3[i] = w3
-			os[i] = sc
-		}
+		out := laneSlice(rr.oc, rr.os, nPat, lo, hi)
+		combine(&e.freqs, *rr.p0, rr.l.view(nPat, lo, hi), *rr.p1, rr.r.view(nPat, lo, hi), out)
 	}
 	// The root is always dirty here: diffDirty marks every changed node's
 	// full ancestor path.
 	ds.sums[b] = rootLogLik(&e.freqs, laneSlice(ds.rootCond, ds.rootScale, nPat, lo, hi), e.patCount[lo:hi])
+}
+
+// combine computes one node's lanes o from its children's lanes l and r
+// under edges p0 and p1: per pattern, (p0·l)∘(p1·r), rescaled once all
+// four entries fall below rescaleThreshold, with scale ls + rs. o may
+// alias l or r (each pattern is loaded before it is stored). A tip child
+// carries its codes and its edge's tip table, and its edge product is
+// gathered from the table rather than computed; because the table holds
+// the bits Coeffs.Apply yields on the tip's lanes, and products and scale
+// sums commute, every variant returns the bits of applying both edges.
+//
+//mpcgs:hotpath
+func combine(freqs *[4]float64, p0 subst.Coeffs, l laneView, p1 subst.Coeffs, r laneView, o laneView) {
+	switch {
+	case l.codes != nil && r.codes != nil:
+		combineTips(l, r, o)
+	case l.codes != nil:
+		combineTip(freqs, p1, r, l, o)
+	case r.codes != nil:
+		combineTip(freqs, p0, l, r, o)
+	default:
+		combineLanes(freqs, p0, l, p1, r, o)
+	}
+}
+
+// combineLanes is combine with both edge products computed.
+//
+//mpcgs:hotpath
+func combineLanes(freqs *[4]float64, p0 subst.Coeffs, l laneView, p1 subst.Coeffs, r laneView, o laneView) {
+	fA, fC, fG, fT := freqs[0], freqs[1], freqs[2], freqs[3]
+	o0 := o.l0
+	n := len(o0)
+	o1, o2, o3, os := o.l1[:n], o.l2[:n], o.l3[:n], o.ls[:n]
+	l0, l1, l2, l3, ls := l.l0[:n], l.l1[:n], l.l2[:n], l.l3[:n], l.ls[:n]
+	r0, r1, r2, r3, rs := r.l0[:n], r.l1[:n], r.l2[:n], r.l3[:n], r.ls[:n]
+	for i := range o0 {
+		a0, a1, a2, a3 := p0.Apply(fA, fC, fG, fT, l0[i], l1[i], l2[i], l3[i])
+		b0, b1, b2, b3 := p1.Apply(fA, fC, fG, fT, r0[i], r1[i], r2[i], r3[i])
+		w0, w1, w2, w3 := a0*b0, a1*b1, a2*b2, a3*b3
+		sc := ls[i] + rs[i]
+		if w0 < rescaleThreshold && w1 < rescaleThreshold && w2 < rescaleThreshold && w3 < rescaleThreshold {
+			w0, w1, w2, w3, sc = rescale(w0, w1, w2, w3, sc)
+		}
+		o0[i], o1[i], o2[i], o3[i], os[i] = w0, w1, w2, w3, sc
+	}
+}
+
+// combineTip is combine with one tip child: x's edge product computed
+// under p, the tip's gathered from its table.
+//
+//mpcgs:hotpath
+func combineTip(freqs *[4]float64, p subst.Coeffs, x, tip laneView, o laneView) {
+	fA, fC, fG, fT := freqs[0], freqs[1], freqs[2], freqs[3]
+	o0 := o.l0
+	n := len(o0)
+	o1, o2, o3, os := o.l1[:n], o.l2[:n], o.l3[:n], o.ls[:n]
+	x0, x1, x2, x3, xs := x.l0[:n], x.l1[:n], x.l2[:n], x.l3[:n], x.ls[:n]
+	tc, ts, tab := tip.codes[:n], tip.ls[:n], tip.tab
+	for i := range o0 {
+		a0, a1, a2, a3 := p.Apply(fA, fC, fG, fT, x0[i], x1[i], x2[i], x3[i])
+		b := &tab[tc[i]]
+		w0, w1, w2, w3 := a0*b[0], a1*b[1], a2*b[2], a3*b[3]
+		sc := xs[i] + ts[i]
+		if w0 < rescaleThreshold && w1 < rescaleThreshold && w2 < rescaleThreshold && w3 < rescaleThreshold {
+			w0, w1, w2, w3, sc = rescale(w0, w1, w2, w3, sc)
+		}
+		o0[i], o1[i], o2[i], o3[i], os[i] = w0, w1, w2, w3, sc
+	}
+}
+
+// combineTips is combine with two tip children, both edge products
+// gathered from their tables.
+//
+//mpcgs:hotpath
+func combineTips(l, r, o laneView) {
+	o0 := o.l0
+	n := len(o0)
+	o1, o2, o3, os := o.l1[:n], o.l2[:n], o.l3[:n], o.ls[:n]
+	lc, ls, lt := l.codes[:n], l.ls[:n], l.tab
+	rc, rs, rt := r.codes[:n], r.ls[:n], r.tab
+	for i := range o0 {
+		a := &lt[lc[i]]
+		b := &rt[rc[i]]
+		w0, w1, w2, w3 := a[0]*b[0], a[1]*b[1], a[2]*b[2], a[3]*b[3]
+		sc := ls[i] + rs[i]
+		if w0 < rescaleThreshold && w1 < rescaleThreshold && w2 < rescaleThreshold && w3 < rescaleThreshold {
+			w0, w1, w2, w3, sc = rescale(w0, w1, w2, w3, sc)
+		}
+		o0[i], o1[i], o2[i], o3[i], os[i] = w0, w1, w2, w3, sc
+	}
 }
 
 // prodFloor is where rootLogLik flushes its running product of site

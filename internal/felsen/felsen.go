@@ -47,16 +47,13 @@ type Evaluator struct {
 	// Site-pattern compression for the delta path (see delta.go): distinct
 	// alignment columns, their multiplicities, and per-tip base codes
 	// (0..3, 4 = missing) — the immutable data the paper parks in constant
-	// memory (§4.4). tipCond additionally materializes every tip's
-	// conditional lanes per pattern in the same SoA row layout as the
-	// delta cache (tip i's state lane x at [i*4*nPatterns + x*nPatterns]),
-	// immutable for the evaluator's lifetime, so the delta kernel streams
-	// tip conditionals instead of regenerating them. zeroScale is the
-	// all-zero rescaling lane every tip row shares.
+	// memory (§4.4). A tip's conditionals are never materialized: the
+	// pattern kernels read a tip through its codes and a tip table of the
+	// edge above it (see tipTable). zeroScale is the all-zero rescaling
+	// lane every tip shares.
 	nPatterns int
 	patCount  []float64
 	patBase   [][]uint8
-	tipCond   []float64
 	zeroScale []float64
 
 	// blockSize is the pattern-block width of the delta kernel (see
@@ -119,6 +116,7 @@ func New(model subst.Model, aln *phylip.Alignment, dev *device.Device) (*Evaluat
 			order:  make([]int, 0, nNodes),
 			pos:    make([]int, nNodes),
 			coeffs: make([]subst.Coeffs, nNodes),
+			tabs:   make([]tipTable, len(aln.Seqs)),
 		}
 		// The block kernel closure is built once per pooled scratch (cold
 		// path) and rebound per evaluation through the scratch's fields, so
@@ -170,20 +168,39 @@ func (e *Evaluator) compressPatterns() {
 			e.patBase[i] = append(e.patBase[i], key[i])
 		}
 	}
-	e.tipCond = make([]float64, nSeqs*nStates*e.nPatterns)
 	e.zeroScale = make([]float64, e.nPatterns)
-	for i := range e.patBase {
-		row := e.tipCond[i*nStates*e.nPatterns : (i+1)*nStates*e.nPatterns]
-		for pat, code := range e.patBase[i] {
-			if code < 4 {
-				row[int(code)*e.nPatterns+pat] = 1
-			} else {
-				for x := 0; x < nStates; x++ {
-					row[x*e.nPatterns+pat] = 1
-				}
-			}
-		}
+}
+
+// tipVectors are a tip's conditional likelihoods per base code: the unit
+// vector of the observed base for codes 0..3 (A, C, G, T), all ones for
+// code 4 (missing), as the site kernels set them.
+var tipVectors = [nTipCodes][nStates]float64{
+	{1, 0, 0, 0},
+	{0, 1, 0, 0},
+	{0, 0, 1, 0},
+	{0, 0, 0, 1},
+	{1, 1, 1, 1},
+}
+
+// nTipCodes is the number of distinct tip vectors: four bases plus missing.
+const nTipCodes = 5
+
+// tipTable is one edge's product with every tip vector: row c holds
+// P·tipVectors[c]. A tip's conditionals at a pattern are
+// tipVectors[code], so tab[code] is the edge product on the tip at that
+// pattern, computed by the same Coeffs.Apply on the same values — the
+// same bits as applying the edge per pattern, for five Apply calls per
+// edge instead of one per pattern.
+type tipTable [nTipCodes][nStates]float64
+
+// tipTableOf tabulates edge p on the five tip vectors.
+func tipTableOf(freqs *[4]float64, p subst.Coeffs) tipTable {
+	var tab tipTable
+	for c := range tipVectors {
+		u := &tipVectors[c]
+		tab[c][0], tab[c][1], tab[c][2], tab[c][3] = p.Apply(freqs[0], freqs[1], freqs[2], freqs[3], u[0], u[1], u[2], u[3])
 	}
+	return tab
 }
 
 // NSites returns the number of base-pair positions.

@@ -46,10 +46,16 @@ func TestIterativeMatchesRecursive(t *testing.T) {
 }
 
 // TestIterativeRescalingDeepTree forces the rescaling path in the
-// iterative kernel and cross-checks the recursive one.
+// iterative site kernel and cross-checks the recursive one. The per-site
+// likelihood of n saturated tips is about 4^-n, so conditionals cross
+// rescaleThreshold (1e-150) only above ~250 tips: at 300 taxa and θ = 30
+// the nodes near the root fall below it. The test asserts that the site
+// kernel really rescaled (a non-zero root scale on some site) before
+// comparing LogLikelihoodSerial and the device-parallel LogLikelihood with
+// the recursive oracle.
 func TestIterativeRescalingDeepTree(t *testing.T) {
 	src := rng.NewMT19937(901)
-	n := 80
+	const n, nSites = 300, 10
 	names := make([]string, n)
 	for i := range names {
 		names[i] = "x" + string(rune('a'+i%26)) + string(rune('a'+(i/26)%26))
@@ -58,15 +64,29 @@ func TestIterativeRescalingDeepTree(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	aln := randomAlignment(src, n, 10)
+	aln := randomAlignment(src, n, nSites)
 	e := mustEval(t, subst.NewJC69(), aln, device.New(8))
-	iter := e.LogLikelihoodSerial(tr)
-	rec := e.LogLikelihoodRecursive(tr)
-	if math.IsInf(iter, 0) || math.IsNaN(iter) {
-		t.Fatalf("iterative logL = %v on deep tree", iter)
+	s := e.pool.Get().(*scratch)
+	b := e.blockPool.Get().(*blockScratch)
+	e.prepare(tr, s)
+	rescaled := 0
+	for site := 0; site < nSites; site++ {
+		e.siteLogLikelihoodIter(tr, s, b, site)
+		if b.scale[tr.Root] != 0 {
+			rescaled++
+		}
 	}
-	if math.Abs(iter-rec) > 1e-9*math.Abs(rec) {
-		t.Fatalf("deep tree: iterative %v != recursive %v", iter, rec)
+	if rescaled == 0 {
+		t.Fatal("no site was rescaled; the case does not reach rescaleThreshold")
+	}
+	rec := e.LogLikelihoodRecursive(tr)
+	for name, iter := range map[string]float64{"serial": e.LogLikelihoodSerial(tr), "device": e.LogLikelihood(tr)} {
+		if math.IsInf(iter, 0) || math.IsNaN(iter) {
+			t.Fatalf("%s iterative logL = %v on deep tree", name, iter)
+		}
+		if math.Abs(iter-rec) > 1e-9*math.Abs(rec) {
+			t.Fatalf("deep tree: %s iterative %v != recursive %v", name, iter, rec)
+		}
 	}
 }
 

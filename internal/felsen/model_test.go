@@ -223,3 +223,70 @@ func TestWaveMatchesPerCandidateF84(t *testing.T) {
 		}
 	}
 }
+
+// tipTrioTarget returns a target whose two children and sibling are all
+// tips, or gtree.Nil: resimulating it leaves every candidate's three
+// clean neighbourhood operands (the target's children and the parent's
+// clean child) tips, whichever pairing the draw picks.
+func tipTrioTarget(tree *gtree.Tree) int {
+	for _, phi := range resim.Targets(tree) {
+		ch := tree.Nodes[phi].Child
+		if tree.IsTip(ch[0]) && tree.IsTip(ch[1]) && tree.IsTip(tree.Sibling(phi)) {
+			return phi
+		}
+	}
+	return gtree.Nil
+}
+
+// TestWaveTipTablesMissingData covers the tip tables where they are
+// used: a round whose three clean operands are all tips carrying missing
+// data (code 4), alone and in every combination, under F81 and F84
+// (κ = 2) at 1 and 4 workers. The wave must match the per-candidate path
+// bit for bit, and — since both gather tip edge products from the same
+// tables — each candidate must also match the recursive dense-matrix
+// oracle, which never tabulates.
+func TestWaveTipTablesMissingData(t *testing.T) {
+	aln, _, err := seqgen.SimulateData(12, 300, 1.0, 425)
+	if err != nil {
+		t.Fatal(err)
+	}
+	src := rng.NewMT19937(19)
+	var tree *gtree.Tree
+	phi := gtree.Nil
+	for phi == gtree.Nil {
+		if tree, err = gtree.RandomCoalescent(aln.Names, 1.0, src); err != nil {
+			t.Fatal(err)
+		}
+		phi = tipTrioTarget(tree)
+	}
+	ch := tree.Nodes[phi].Child
+	trio := [3]int{ch[0], ch[1], tree.Sibling(phi)}
+	for s := 0; s < aln.SeqLen(); s++ {
+		for k, every := range [3]int{3, 4, 5} {
+			if s%every == 0 {
+				aln.Seqs[trio[k]].SetUnknown(s)
+			}
+		}
+	}
+	models := kernelModels(t, aln.BaseFreqs())
+	for _, name := range []string{"F81", "F84"} {
+		model := models[name]
+		nPat := mustEval(t, model, aln, device.Serial()).NPatterns()
+		for _, bs := range blockSizesFor(nPat) {
+			for _, workers := range []int{1, 4} {
+				e := mustEval(t, model, aln, device.New(workers))
+				e.SetBlockSize(bs)
+				c := e.NewDeltaCache()
+				if got, want := e.Rebase(c, tree), e.LogLikelihoodRecursive(tree); !closeRel(got, want) {
+					t.Fatalf("%s bs=%d workers=%d: Rebase %v != recursive %v", name, bs, workers, got, want)
+				}
+				props, got := waveRound(t, e, c, tree, phi, 6, 1.0, rng.NewMT19937(20))
+				for i, p := range props {
+					if want := e.LogLikelihoodRecursive(p); !closeRel(got[i], want) {
+						t.Fatalf("%s bs=%d workers=%d candidate %d: wave %v != recursive %v", name, bs, workers, i, got[i], want)
+					}
+				}
+			}
+		}
+	}
+}

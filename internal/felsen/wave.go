@@ -31,6 +31,23 @@ package felsen
 // and the round's N nested block launches fuse into one grid. Every edge
 // product is the closed form subst.Coeffs.Apply, as in runBlock.
 //
+// # Tip tables
+//
+// A tip's conditionals are one of only five vectors per pattern (the
+// unit vector of A, C, G or T, or all ones for missing data), so an edge
+// applied to a tip has only five possible results. Eval tabulates them
+// once per proposal for each of the neighbourhood's clean operands that
+// is a tip (the target's two children and the parent's clean child: five
+// Apply calls each), and the cells gather tab[code] per pattern instead
+// of applying the edge; BindRound does the same for a tip hanging off the
+// root path. On 12-taxon genealogies about 1.7 of a cell's ~5.9 edge
+// products act on a tip. The table is bit-exact: it is computed by the
+// same Coeffs.Apply on the same values (tipVectors) a tip's lanes would
+// hold, and Apply is a pure function of its arguments, so tab[code] is
+// the exact result the per-pattern call would return. runBlock reads
+// tips through tables the same way, through the same combine kernel, so
+// no pattern kernel ever materializes a tip's lanes.
+//
 // # Bit-identity with the per-candidate path
 //
 // The wave is not an approximation and not merely "close": it returns the
@@ -42,7 +59,8 @@ package felsen
 // IEEE-754 multiplication and addition are commutative at the bit level,
 // so (inner·outer) and (ls+rs) do not care which side was cached. The
 // per-node operation order (children's edge products, rescale test and
-// shared rescale helper, scale add) matches runBlock exactly, the
+// shared rescale helper, scale add) is runBlock's — both run each node
+// through the same combine kernel — the
 // per-pattern order within a block and the block partial order within a
 // proposal are fixed, and the grid cells write disjoint slots. Results are
 // therefore bit-identical across worker counts, repeat runs, kill/resume,
@@ -80,13 +98,13 @@ type waveProp struct {
 	pclean         int
 	// am is the ancestor→parent edge; unused in the root case.
 	am subst.Coeffs
-	// tl/tr/cv are the target's children's and the parent's clean child's
-	// full-length lane sources (tip table or cache), resolved once per
-	// proposal so the grid cells select tip cells by slicing instead of
-	// re-branching per cell.
-	tlc, tls []float64
-	trc, trs []float64
-	cvc, cvs []float64
+	// tl/tr/cv are the neighbourhood's three clean operands — the
+	// target's two children and the parent's clean child — resolved once
+	// per proposal, so the grid cells only slice them. A tip operand's
+	// table, its consuming edge (tm0, tm1 or pmClean) applied to the five
+	// tip vectors, lives in tabs.
+	tl, tr, cv operand
+	tabs       [3]tipTable
 }
 
 // waveScratch is the per-cell working row of the wave kernel: one node's
@@ -120,14 +138,13 @@ type Wave struct {
 	chainEdge []subst.Coeffs
 	cleanEdge []subst.Coeffs
 	// outer holds the lift lanes, path-node-major: node k's state lane x
-	// is outer[(k*nStates+x)*nPatterns:][:nPatterns]. cleanCond[k] and
-	// cleanScale[k] are cleanCh[k]'s state lanes and rescaling-log lane
-	// (cache or tip-table slices), resolved once per round so neither the
-	// lift blocks nor the grid cells branch on tip-ness.
-	outer      []float64
-	cleanCond  [][]float64
-	cleanScale [][]float64
-	bound      bool
+	// is outer[(k*nStates+x)*nPatterns:][:nPatterns]. clean[k] is
+	// cleanCh[k] as an operand of cleanEdge[k] (a cache row, or a tip with
+	// its table in cleanTabs[k]), resolved once per round.
+	outer     []float64
+	clean     []operand
+	cleanTabs []tipTable
+	bound     bool
 
 	// Eval state: the live candidates and the (block, proposal) partial
 	// sums, sums[b*len(props)+li], reduced per proposal in block order.
@@ -147,18 +164,19 @@ func (e *Evaluator) NewWave(c *DeltaCache) *Wave {
 	return w
 }
 
-// rowOf returns a clean node's conditional lanes: the shared tip table for
-// tips (scale lane the shared all-zero lane), the cache row otherwise —
-// the same sources the per-candidate kernel reads clean rows from.
-func (w *Wave) rowOf(node int) (cond, scale []float64) {
+// operand resolves a clean node as the operand of edge p: a tip through
+// p's tip table, written to tab, and an interior node through its cache
+// row — the same sources the per-candidate kernel reads clean rows from.
+func (w *Wave) operand(tab *tipTable, node int, p subst.Coeffs) operand {
 	e := w.e
-	nPat := e.nPatterns
 	nTips := len(e.seqs)
 	if node < nTips {
-		return e.tipCond[node*nStates*nPat : (node+1)*nStates*nPat], e.zeroScale
+		*tab = tipTableOf(&e.freqs, p)
+		return e.tipOperand(node, tab)
 	}
+	nPat := e.nPatterns
 	r := node - nTips
-	return w.c.cond[r*nStates*nPat : (r+1)*nStates*nPat], w.c.scale[r*nPat : (r+1)*nPat]
+	return operand{cond: w.c.cond[r*nStates*nPat : (r+1)*nStates*nPat], scale: w.c.scale[r*nPat : (r+1)*nPat]}
 }
 
 // BindRound fixes the round's resimulation target φ and computes the
@@ -204,8 +222,13 @@ func (w *Wave) BindRound(phi int) {
 		w.chainEdge = w.chainEdge[:depth]
 		w.cleanEdge = w.cleanEdge[:depth]
 	}
-	w.cleanCond = w.cleanCond[:0]
-	w.cleanScale = w.cleanScale[:0]
+	if cap(w.clean) < depth {
+		w.clean = make([]operand, depth)      //mpcgsvet:ignore-alloc cap-guarded per-round growth, amortized over the run
+		w.cleanTabs = make([]tipTable, depth) //mpcgsvet:ignore-alloc cap-guarded per-round growth, amortized over the run
+	} else {
+		w.clean = w.clean[:depth]
+		w.cleanTabs = w.cleanTabs[:depth]
+	}
 	prev = w.parent
 	for k, v := range w.path {
 		vn := &base.Nodes[v]
@@ -217,9 +240,7 @@ func (w *Wave) BindRound(phi int) {
 		}
 		clean := w.cleanCh[k]
 		w.cleanEdge[k] = e.model.CoeffsAt(vn.Age - base.Nodes[clean].Age)
-		cc, cs := w.rowOf(clean)
-		w.cleanCond = append(w.cleanCond, cc)
-		w.cleanScale = append(w.cleanScale, cs)
+		w.clean[k] = w.operand(&w.cleanTabs[k], clean, w.cleanEdge[k])
 		prev = v
 	}
 
@@ -250,8 +271,9 @@ func (w *Wave) BindRound(phi int) {
 
 // runLiftBlock fills one pattern block of every path node's outer lanes:
 // outer_k = cleanEdge[k]·cond_clean per pattern, through the same
-// Coeffs.Apply runBlock calls — the lift must produce the exact bits the
-// per-candidate kernel would.
+// Coeffs.Apply runBlock calls, or for a tip clean child gathered from the
+// same tip table runBlock would build — the lift must produce the exact
+// bits the per-candidate kernel would.
 //
 //mpcgs:hotpath
 func (w *Wave) runLiftBlock(b int) {
@@ -264,23 +286,41 @@ func (w *Wave) runLiftBlock(b int) {
 	}
 	fA, fC, fG, fT := e.freqs[0], e.freqs[1], e.freqs[2], e.freqs[3]
 	for k := range w.path {
-		p := w.cleanEdge[k]
-		vc := w.cleanCond[k]
-		v0 := vc[lo:hi]
-		v1 := vc[nPat+lo : nPat+hi]
-		v2 := vc[2*nPat+lo : 2*nPat+hi]
-		v3 := vc[3*nPat+lo : 3*nPat+hi]
 		base := k * nStates * nPat
 		o0 := w.outer[base+lo : base+hi]
 		o1 := w.outer[base+nPat+lo : base+nPat+hi]
 		o2 := w.outer[base+2*nPat+lo : base+2*nPat+hi]
 		o3 := w.outer[base+3*nPat+lo : base+3*nPat+hi]
+		op := &w.clean[k]
+		if op.codes != nil {
+			gatherTip(op.tab, op.codes[lo:hi], o0, o1, o2, o3)
+			continue
+		}
+		p := w.cleanEdge[k]
+		vc := op.cond
+		v0 := vc[lo:hi]
+		v1 := vc[nPat+lo : nPat+hi]
+		v2 := vc[2*nPat+lo : 2*nPat+hi]
+		v3 := vc[3*nPat+lo : 3*nPat+hi]
 		n := len(o0)
 		o1, o2, o3 = o1[:n], o2[:n], o3[:n]
 		v0, v1, v2, v3 = v0[:n], v1[:n], v2[:n], v3[:n]
 		for i := range o0 {
 			o0[i], o1[i], o2[i], o3[i] = p.Apply(fA, fC, fG, fT, v0[i], v1[i], v2[i], v3[i])
 		}
+	}
+}
+
+// gatherTip writes a tip's edge products over a pattern range into the
+// lanes o0..o3: tab's row for each pattern's code.
+//
+//mpcgs:hotpath
+func gatherTip(tab *tipTable, codes []uint8, o0, o1, o2, o3 []float64) {
+	n := len(codes)
+	o0, o1, o2, o3 = o0[:n], o1[:n], o2[:n], o3[:n]
+	for i, c := range codes {
+		t := &tab[c]
+		o0[i], o1[i], o2[i], o3[i] = t[0], t[1], t[2], t[3]
 	}
 }
 
@@ -298,13 +338,17 @@ func (w *Wave) Eval(trees []*gtree.Tree, out []float64) {
 		panic("felsen: Wave.Eval without BindRound")
 	}
 	e := w.e
+	// Collect the live candidates before resolving them: the operands
+	// point into their waveProp's tip tables, which must not move.
 	w.props = w.props[:0]
 	for slot, t := range trees {
-		if t == nil {
-			continue
+		if t != nil {
+			w.props = append(w.props, waveProp{t: t, slot: slot})
 		}
-		w.props = append(w.props, waveProp{t: t, slot: slot})
-		pr := &w.props[len(w.props)-1]
+	}
+	for li := range w.props {
+		pr := &w.props[li]
+		t := pr.t
 		tn := &t.Nodes[w.phi]
 		pr.tm0 = e.model.CoeffsAt(tn.Age - t.Nodes[tn.Child[0]].Age)
 		pr.tm1 = e.model.CoeffsAt(tn.Age - t.Nodes[tn.Child[1]].Age)
@@ -318,12 +362,12 @@ func (w *Wave) Eval(trees []*gtree.Tree, out []float64) {
 		if !w.rootCase {
 			pr.am = e.model.CoeffsAt(w.c.base.Nodes[w.path[0]].Age - pn.Age)
 		}
-		// Resolve the clean rows the cells will stream — the target's two
-		// children and the parent's clean child — once per proposal, so the
-		// cell kernel never branches on tip-ness.
-		pr.tlc, pr.tls = w.rowOf(tn.Child[0])
-		pr.trc, pr.trs = w.rowOf(tn.Child[1])
-		pr.cvc, pr.cvs = w.rowOf(pr.pclean)
+		// Resolve the clean operands the cells will stream — the target's
+		// two children and the parent's clean child — once per proposal,
+		// tabulating the consuming edge on the tip vectors for tips.
+		pr.tl = w.operand(&pr.tabs[0], tn.Child[0], pr.tm0)
+		pr.tr = w.operand(&pr.tabs[1], tn.Child[1], pr.tm1)
+		pr.cv = w.operand(&pr.tabs[2], pr.pclean, pr.pmClean)
 	}
 	nLive := len(w.props)
 	if nLive == 0 {
@@ -394,17 +438,16 @@ func (w *Wave) runCell(cell int) {
 	s3 := ws.cond[3*bs : 3*bs+n]
 	ss := ws.scale[:n]
 
-	// Fused target-and-parent pass: the target row (both children clean)
-	// is carried per pattern in registers straight into the parent's edge
-	// products, so the neighbourhood costs one loop and only the parent
-	// row is ever stored. Each node's arithmetic is runBlock's, with the
-	// same edge↔child pairing; the two edge-product factors and the two
-	// scale summands commute bit-exactly, so evaluating the φ side first
-	// is the per-candidate kernel's result regardless of Child-array order.
-	tl := laneSlice(pr.tlc, pr.tls, nPat, lo, hi)
-	tr := laneSlice(pr.trc, pr.trs, nPat, lo, hi)
-	cv := laneSlice(pr.cvc, pr.cvs, nPat, lo, hi)
-	waveNeighbourhood(&e.freqs, pr, tl, tr, cv, laneView{s0, s1, s2, s3, ss})
+	// The neighbourhood: the target row from its two clean children, then
+	// in place the parent row from the target row and the parent's clean
+	// child. Each is one combine, the node kernel runBlock runs, with the
+	// same edge↔child pairing and tip-table gathers for tip children; the
+	// two edge-product factors and the two scale summands commute
+	// bit-exactly, so putting the φ side first at the parent is the
+	// per-candidate kernel's result regardless of Child-array order.
+	o := laneView{l0: s0, l1: s1, l2: s2, l3: s3, ls: ss}
+	combine(&e.freqs, pr.tm0, pr.tl.view(nPat, lo, hi), pr.tm1, pr.tr.view(nPat, lo, hi), o)
+	combine(&e.freqs, pr.pmPhi, o, pr.pmClean, pr.cv.view(nPat, lo, hi), o)
 
 	// Root path: one dirty-side edge product per node against the shared
 	// outer lane, then the same rescale/scale sequence as runBlock.
@@ -419,7 +462,7 @@ func (w *Wave) runCell(cell int) {
 		o1 := w.outer[base+nPat+lo : base+nPat+hi]
 		o2 := w.outer[base+2*nPat+lo : base+2*nPat+hi]
 		o3 := w.outer[base+3*nPat+lo : base+3*nPat+hi]
-		cs := w.cleanScale[k][lo:hi]
+		cs := w.clean[k].scale[lo:hi]
 		o0 = o0[:n]
 		o1, o2, o3, cs = o1[:n], o2[:n], o3[:n], cs[:n]
 		for i := range s0 {
@@ -439,67 +482,27 @@ func (w *Wave) runCell(cell int) {
 
 	// Root contraction: the working row now holds the root (the parent
 	// itself in the root case).
-	w.sums[cell] = rootLogLik(&e.freqs, laneView{s0, s1, s2, s3, ss}, e.patCount[lo:hi])
+	w.sums[cell] = rootLogLik(&e.freqs, o, e.patCount[lo:hi])
 	e.wavePool.Put(ws)
 }
 
 // laneView is one conditional row's per-state lanes plus its scale lane,
-// already sliced to a cell's pattern range.
+// already sliced to a kernel's pattern range. A tip operand has no state
+// lanes; it carries its pattern codes over the range and its edge's tip
+// table instead (codes is nil for every other row).
 type laneView struct {
 	l0, l1, l2, l3, ls []float64
+	codes              []uint8
+	tab                *tipTable
 }
 
 // laneSlice views a pre-resolved row's lanes over [lo, hi).
 func laneSlice(cond, scale []float64, nPat, lo, hi int) laneView {
 	return laneView{
-		cond[lo:hi],
-		cond[nPat+lo : nPat+hi],
-		cond[2*nPat+lo : 2*nPat+hi],
-		cond[3*nPat+lo : 3*nPat+hi],
-		scale[lo:hi],
-	}
-}
-
-// waveNeighbourhood fuses the resimulated neighbourhood's two node
-// evaluations over a cell's pattern range: the target row — computed from
-// its children l and r (the candidate's Child-array order) — is carried
-// per pattern in registers straight into the parent's edge products
-// against the parent's clean-child row c, and only the parent row is
-// stored, into o. Each node's arithmetic is exactly runBlock's inner
-// loop (children's edge products, rescale test, scale add); at the
-// parent, the φ-side factor is evaluated first regardless of Child-array
-// order, which is bit-identical because the two factors and the two
-// scale summands commute.
-//
-//mpcgs:hotpath
-func waveNeighbourhood(freqs *[4]float64, pr *waveProp, l, r, c, o laneView) {
-	fA, fC, fG, fT := freqs[0], freqs[1], freqs[2], freqs[3]
-	tm0, tm1, pmPhi, pmClean := pr.tm0, pr.tm1, pr.pmPhi, pr.pmClean
-	o0 := o.l0
-	n := len(o0)
-	o1, o2, o3, os := o.l1[:n], o.l2[:n], o.l3[:n], o.ls[:n]
-	l0, l1, l2, l3, ls := l.l0[:n], l.l1[:n], l.l2[:n], l.l3[:n], l.ls[:n]
-	r0, r1, r2, r3, rs := r.l0[:n], r.l1[:n], r.l2[:n], r.l3[:n], r.ls[:n]
-	c0, c1, c2, c3, cs := c.l0[:n], c.l1[:n], c.l2[:n], c.l3[:n], c.ls[:n]
-	for i := range o0 {
-		a0, a1, a2, a3 := tm0.Apply(fA, fC, fG, fT, l0[i], l1[i], l2[i], l3[i])
-		b0, b1, b2, b3 := tm1.Apply(fA, fC, fG, fT, r0[i], r1[i], r2[i], r3[i])
-		t0, t1, t2, t3 := a0*b0, a1*b1, a2*b2, a3*b3
-		tsc := ls[i] + rs[i]
-		if t0 < rescaleThreshold && t1 < rescaleThreshold && t2 < rescaleThreshold && t3 < rescaleThreshold {
-			t0, t1, t2, t3, tsc = rescale(t0, t1, t2, t3, tsc)
-		}
-		a0, a1, a2, a3 = pmPhi.Apply(fA, fC, fG, fT, t0, t1, t2, t3)
-		b0, b1, b2, b3 = pmClean.Apply(fA, fC, fG, fT, c0[i], c1[i], c2[i], c3[i])
-		w0, w1, w2, w3 := a0*b0, a1*b1, a2*b2, a3*b3
-		sc := tsc + cs[i]
-		if w0 < rescaleThreshold && w1 < rescaleThreshold && w2 < rescaleThreshold && w3 < rescaleThreshold {
-			w0, w1, w2, w3, sc = rescale(w0, w1, w2, w3, sc)
-		}
-		o0[i] = w0
-		o1[i] = w1
-		o2[i] = w2
-		o3[i] = w3
-		os[i] = sc
+		l0: cond[lo:hi],
+		l1: cond[nPat+lo : nPat+hi],
+		l2: cond[2*nPat+lo : 2*nPat+hi],
+		l3: cond[3*nPat+lo : 3*nPat+hi],
+		ls: scale[lo:hi],
 	}
 }

@@ -31,11 +31,20 @@
 // serial Metropolis-Hastings acceptance ratio reduces to the data
 // likelihood ratio (Eq. 28).
 //
-// The region analysis needs working memory proportional to the number of
-// fixed ages inside the region. A Scratch owns those buffers so a chain
-// (or one device stream of the multiple-proposal kernel) pays the
-// allocation once and every subsequent draw is allocation-free; Resimulate
-// without a Scratch borrows one from a shared pool.
+// A draw splits into the RNG-free region analysis (Scratch.Analyze: the
+// intervals, killing rates, per-interval transition tables and completion
+// probabilities, which depend only on the tree, the target and θ) and
+// the forward walk (Scratch.Draw), which only reads the analysis. The
+// analysis needs working memory proportional to the number of fixed ages
+// inside the region; a Scratch owns those buffers so a chain pays the
+// allocation once and every subsequent draw is allocation-free. A
+// single-proposal chain owns one Scratch and calls ResimulateScratch
+// (Analyze then Draw) per step. The multiple-proposal kernel owns one
+// Scratch per chain too: its N candidates all resimulate the same
+// neighbourhood of the same state, so it analyzes once per round and runs
+// the N Draws concurrently, one per device stream, against the shared
+// read-only region. Resimulate without a Scratch borrows one from a
+// shared pool.
 package resim
 
 import (
@@ -91,12 +100,19 @@ func PickTarget(t *gtree.Tree, src rng.Source) int {
 	panic("resim: internal error: target index out of range")
 }
 
-// Scratch is the reusable working memory of one resimulation stream: the
-// boundary, killing-rate and completion-probability buffers the region
-// analysis needs, owned by the caller so repeated draws allocate nothing.
-// A Scratch is not safe for concurrent use — give each chain (or each
-// device stream of a multiple-proposal kernel) its own, exactly as each
-// PRNG stream is owned by one thread.
+// Scratch is the reusable working memory of one resimulation region: the
+// boundary, killing-rate, transition-table and completion-probability
+// buffers the region analysis fills, owned by the caller so repeated
+// draws allocate nothing.
+//
+// A draw is two steps. Analyze does the RNG-free region analysis of
+// (tree, target, θ); Draw runs the forward walk on a tree, reading the
+// analyzed region without writing it. Analyze is not safe for concurrent
+// use, but after one Analyze any number of concurrent Draws — each on its
+// own copy of the analyzed tree, with its own PRNG stream — may share the
+// Scratch: that is how every candidate of a multiple-proposal round, which
+// all resimulate the same neighbourhood of the same state (§4.3), shares
+// one region analysis.
 type Scratch struct {
 	r region
 }
@@ -124,10 +140,29 @@ func Resimulate(t *gtree.Tree, target int, theta float64, src rng.Source) error 
 // non-root interior node. The two replacement coalescent events reuse the
 // node slots of the target and its parent (younger event in the target's
 // slot), so node indices remain stable identities across proposals. A nil
-// scratch allocates a fresh one.
+// scratch allocates a fresh one. It is exactly s.Analyze followed by
+// s.Draw.
 //
 //mpcgs:hotpath
 func ResimulateScratch(t *gtree.Tree, target int, theta float64, src rng.Source, s *Scratch) error {
+	if s == nil {
+		s = NewScratch() //mpcgsvet:ignore-alloc nil-scratch fallback for legacy callers; hot callers pass a warm Scratch
+	}
+	if err := s.Analyze(t, target, theta); err != nil {
+		return err
+	}
+	return s.Draw(t, src)
+}
+
+// Analyze analyzes the resimulation region around target in t at
+// parameter theta into s: feasible intervals, inactive-lineage counts,
+// per-interval transition tables and the backward completion recursion.
+// It consumes no randomness and leaves t untouched. On error the Scratch
+// holds no region and every Draw fails until the next successful Analyze.
+//
+//mpcgs:hotpath
+func (s *Scratch) Analyze(t *gtree.Tree, target int, theta float64) error {
+	s.r.ok = false
 	if theta <= 0 {
 		return fmt.Errorf("resim: theta %v must be positive", theta)
 	}
@@ -140,9 +175,6 @@ func ResimulateScratch(t *gtree.Tree, target int, theta float64, src rng.Source,
 	if target == t.Root {
 		return fmt.Errorf("resim: target %d is the root", target)
 	}
-	if s == nil {
-		s = NewScratch() //mpcgsvet:ignore-alloc nil-scratch fallback for legacy callers; hot callers pass a warm Scratch
-	}
 
 	parent := t.Nodes[target].Parent
 	ancestor := t.Nodes[parent].Parent // gtree.Nil when parent is the root
@@ -151,11 +183,25 @@ func ResimulateScratch(t *gtree.Tree, target int, theta float64, src rng.Source,
 		t.Nodes[target].Child[1],
 		t.Sibling(target),
 	}
-	r := &s.r
-	if err := r.build(t, target, parent, ancestor, children, theta); err != nil {
+	if err := s.r.build(t, target, parent, ancestor, children, theta); err != nil {
 		return err
 	}
-	return r.sample(t, src)
+	s.r.ok = true
+	return nil
+}
+
+// Draw redraws the analyzed neighbourhood of t from the conditional
+// coalescent prior, modifying t in place and drawing from src. t must be
+// node for node the tree the last successful Analyze saw (typically a
+// fresh copy of it). Draw only reads the Scratch, so concurrent Draws on
+// distinct trees may share one.
+//
+//mpcgs:hotpath
+func (s *Scratch) Draw(t *gtree.Tree, src rng.Source) error {
+	if !s.r.ok {
+		return fmt.Errorf("resim: Draw without a successfully analyzed region")
+	}
+	return s.r.sample(t, src)
 }
 
 // region is the fully analyzed resimulation problem: interval structure,
@@ -171,7 +217,12 @@ type region struct {
 	bounds []float64 // m+1 boundary ages, bounds[0] = youngest child age
 	kin    []int     // m per-interval inactive lineage counts
 	joinAt [3]int    // boundary index at which each child becomes active
-	g      [][4]float64
+	// ivals holds each interval's rates and transition table; g the
+	// completion probabilities per boundary.
+	ivals []interval
+	g     [][4]float64
+	// ok is set once the region is fully analyzed; Draw refuses otherwise.
+	ok bool
 }
 
 func (r *region) rootCase() bool { return r.ancestor == gtree.Nil }
@@ -294,17 +345,30 @@ func (r *region) build(t *gtree.Tree, target, parent, ancestor int, children [3]
 	return nil
 }
 
-// computeCompletion fills g[j][a], the probability of completing the walk
-// successfully when entering interval j with a active lineages (after the
-// joins at boundary j): the backward recursion over feasible intervals of
-// §4.2, with per-level normalization to guard against underflow on long
-// regions (only ratios matter for the forward sampling).
+// interval is the analysis of one feasible interval: the rates of its
+// killed death process and its transition table S_{a,b}(L).
+type interval struct {
+	tr transitions
+	S  transTable
+}
+
+// computeCompletion fills ivals[j], interval j's rates and table, and
+// g[j][a], the probability of completing the walk successfully when
+// entering interval j with a active lineages (after the joins at boundary
+// j): the backward recursion over feasible intervals of §4.2, with
+// per-level normalization to guard against underflow on long regions
+// (only ratios matter for the forward sampling).
 func (r *region) computeCompletion() {
 	m := len(r.bounds) - 1
 	if cap(r.g) < m+1 {
-		r.g = make([][4]float64, m+1)
+		r.g = make([][4]float64, m+1) //mpcgsvet:ignore-alloc cap-guarded scratch growth, amortized over the run
 	} else {
 		r.g = r.g[:m+1]
+	}
+	if cap(r.ivals) < m {
+		r.ivals = make([]interval, m) //mpcgsvet:ignore-alloc cap-guarded scratch growth, amortized over the run
+	} else {
+		r.ivals = r.ivals[:m]
 	}
 	r.g[m] = [4]float64{}
 	if r.rootCase() {
@@ -319,8 +383,10 @@ func (r *region) computeCompletion() {
 		r.g[m][1] = 1
 	}
 	for j := m - 1; j >= 0; j-- {
-		L := r.bounds[j+1] - r.bounds[j]
-		tr := newTransitions(r.kin[j], r.theta)
+		iv := &r.ivals[j]
+		iv.tr = newTransitions(r.kin[j], r.theta)
+		iv.S = iv.tr.table(r.bounds[j+1] - r.bounds[j])
+		S := &iv.S
 		nj := r.joinCount(j + 1)
 		maxv := 0.0
 		for a := 1; a <= maxActive; a++ {
@@ -330,7 +396,7 @@ func (r *region) computeCompletion() {
 				if next > maxActive {
 					continue
 				}
-				sum += tr.prob(a, b, L) * r.g[j+1][next]
+				sum += S[a][b] * r.g[j+1][next]
 			}
 			r.g[j][a] = sum
 			if sum > maxv {
@@ -398,7 +464,7 @@ func (r *region) sample(t *gtree.Tree, src rng.Source) error {
 
 	for j := 0; j < m; j++ {
 		L := r.bounds[j+1] - r.bounds[j]
-		tr := newTransitions(r.kin[j], r.theta)
+		tr, S := &r.ivals[j].tr, &r.ivals[j].S
 		a := walk.n
 		nj := r.joinCount(j + 1)
 
@@ -410,7 +476,7 @@ func (r *region) sample(t *gtree.Tree, src rng.Source) error {
 			if next > maxActive {
 				continue
 			}
-			w := tr.prob(a, b, L) * r.g[j+1][next]
+			w := S[a][b] * r.g[j+1][next]
 			weights[b] = w
 			total += w
 		}

@@ -31,35 +31,42 @@ func newTransitions(kin int, theta float64) transitions {
 	return tr
 }
 
-// prob returns S_{a,b}(L): the probability that an interval of length L
-// entered with a active lineages ends with b, with no killing. Zero for
-// transitions outside b ∈ [max(1, a-2), a].
-func (tr *transitions) prob(a, b int, L float64) float64 {
-	if b > a || b < 1 || a-b > 2 {
-		return 0
-	}
+// transTable holds S_{a,b}(L) of one interval, indexed [a][b] for
+// a, b ∈ 1..3: the probability that the interval, entered with a active
+// lineages, ends with b and no killing. Entries outside
+// b ∈ [max(1, a-2), a] are zero.
+type transTable [maxActive + 1][maxActive + 1]float64
+
+// table returns the interval's transition table from the three
+// exponentials e^{-λ_a L}. Every entry is the closed form of the killed
+// death process (see prob in the tests, the table's per-entry oracle):
+//
+//	S_{a,a}   = e^{-λ_a L}
+//	S_{a,a-1} = μ_a (e^{-λ_{a-1} L} - e^{-λ_a L}) / (λ_a - λ_{a-1})
+//	S_{3,1}   = μ_3 μ_2 / (λ_2-λ_1) · [ (e^{-λ_1 L} - e^{-λ_3 L})/(λ_3-λ_1)
+//	                                  - (e^{-λ_2 L} - e^{-λ_3 L})/(λ_3-λ_2) ]
+//
+// the last by direct double integration.
+func (tr *transitions) table(L float64) transTable {
+	var s transTable
 	if L == 0 {
-		if a == b {
-			return 1
+		for a := 1; a <= maxActive; a++ {
+			s[a][a] = 1
 		}
-		return 0
+		return s
 	}
-	switch a - b {
-	case 0:
-		return math.Exp(-tr.lambda[a] * L)
-	case 1:
-		// ∫ e^{-λ_a s} μ_a e^{-λ_{a-1}(L-s)} ds
-		la, lb := tr.lambda[a], tr.lambda[a-1]
-		return tr.mu[a] * (math.Exp(-lb*L) - math.Exp(-la*L)) / (la - lb)
-	default: // a-b == 2, i.e. 3 -> 1
-		l1, l2, l3 := tr.lambda[1], tr.lambda[2], tr.lambda[3]
-		// Direct double integration (see derivation in the tests):
-		//   μ3 μ2 / (λ2-λ1) · [ (e^{-λ1 L} - e^{-λ3 L})/(λ3-λ1)
-		//                     - (e^{-λ2 L} - e^{-λ3 L})/(λ3-λ2) ]
-		e1, e2, e3 := math.Exp(-l1*L), math.Exp(-l2*L), math.Exp(-l3*L)
-		v := (e1-e3)/(l3-l1) - (e2-e3)/(l3-l2)
-		return tr.mu[3] * tr.mu[2] * v / (l2 - l1)
+	var e [maxActive + 1]float64
+	for a := 1; a <= maxActive; a++ {
+		e[a] = math.Exp(-tr.lambda[a] * L)
+		s[a][a] = e[a]
 	}
+	for a := 2; a <= maxActive; a++ {
+		s[a][a-1] = tr.mu[a] * (e[a-1] - e[a]) / (tr.lambda[a] - tr.lambda[a-1])
+	}
+	l1, l2, l3 := tr.lambda[1], tr.lambda[2], tr.lambda[3]
+	v := (e[1]-e[3])/(l3-l1) - (e[2]-e[3])/(l3-l2)
+	s[3][1] = tr.mu[3] * tr.mu[2] * v / (l2 - l1)
+	return s
 }
 
 // timeNudge keeps sampled event ages strictly inside their interval so

@@ -7,6 +7,62 @@ import (
 	"mpcgs/internal/rng"
 )
 
+// prob returns S_{a,b}(L): the probability that an interval of length L
+// entered with a active lineages ends with b, with no killing. Zero for
+// transitions outside b ∈ [max(1, a-2), a]. It evaluates one entry at a
+// time, recomputing its exponentials, and is the per-entry oracle of
+// transitions.table, which production reads.
+func (tr *transitions) prob(a, b int, L float64) float64 {
+	if b > a || b < 1 || a-b > 2 {
+		return 0
+	}
+	if L == 0 {
+		if a == b {
+			return 1
+		}
+		return 0
+	}
+	switch a - b {
+	case 0:
+		return math.Exp(-tr.lambda[a] * L)
+	case 1:
+		// ∫ e^{-λ_a s} μ_a e^{-λ_{a-1}(L-s)} ds
+		la, lb := tr.lambda[a], tr.lambda[a-1]
+		return tr.mu[a] * (math.Exp(-lb*L) - math.Exp(-la*L)) / (la - lb)
+	default: // a-b == 2, i.e. 3 -> 1
+		l1, l2, l3 := tr.lambda[1], tr.lambda[2], tr.lambda[3]
+		// Direct double integration (see derivation in the tests):
+		//   μ3 μ2 / (λ2-λ1) · [ (e^{-λ1 L} - e^{-λ3 L})/(λ3-λ1)
+		//                     - (e^{-λ2 L} - e^{-λ3 L})/(λ3-λ2) ]
+		e1, e2, e3 := math.Exp(-l1*L), math.Exp(-l2*L), math.Exp(-l3*L)
+		v := (e1-e3)/(l3-l1) - (e2-e3)/(l3-l2)
+		return tr.mu[3] * tr.mu[2] * v / (l2 - l1)
+	}
+}
+
+// TestTransitionTableMatchesProb pins the per-interval table the region
+// analysis builds from three exponentials to the per-entry closed forms,
+// bit for bit, across killing levels, θ extremes and interval lengths
+// from zero through denormal-adjacent to long.
+func TestTransitionTableMatchesProb(t *testing.T) {
+	for _, kin := range []int{0, 1, 5, 40} {
+		for _, theta := range []float64{1e-3, 0.5, 1, 30} {
+			tr := newTransitions(kin, theta)
+			for _, L := range []float64{0, 1e-300, 1e-12, 1e-3, 1, 50, 1e3} {
+				tab := tr.table(L)
+				for a := 1; a <= maxActive; a++ {
+					for b := 1; b <= maxActive; b++ {
+						want := tr.prob(a, b, L)
+						if got := tab[a][b]; math.Float64bits(got) != math.Float64bits(want) {
+							t.Errorf("kin=%d θ=%v L=%v: table S_%d%d = %v, prob = %v", kin, theta, L, a, b, got, want)
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
 func TestProbZeroLengthIsIdentity(t *testing.T) {
 	tr := newTransitions(2, 1.5)
 	for a := 1; a <= 3; a++ {
