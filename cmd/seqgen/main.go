@@ -55,7 +55,7 @@ func main() {
 	if len(parsed) == 0 {
 		fatalf("no trees in input")
 	}
-	m, err := buildModel(*model, *kappa)
+	m, err := simulationModel(*model, *kappa)
 	if err != nil {
 		fatalf("%v", err)
 	}
@@ -79,7 +79,9 @@ func main() {
 	}
 }
 
-func buildModel(name string, kappa float64) (subst.Model, error) {
+// simulationModel is the substitution model sequences evolve under:
+// uniform base frequencies, and kappa for F84.
+func simulationModel(name string, kappa float64) (subst.Model, error) {
 	switch name {
 	case "F84", "f84":
 		return subst.NewF84(subst.Uniform, kappa, true)

@@ -184,7 +184,7 @@ func TestStepSnapshotWireRoundTrip(t *testing.T) {
 
 	for _, tc := range []struct {
 		name string
-		s    core.StepSampler
+		s    core.Sampler
 	}{
 		{"mh", core.NewMH(eval)},
 		{"gmh", core.NewGMH(eval, dev, 3)},

@@ -18,7 +18,7 @@ import (
 
 // spillFixture builds a sampler and starting tree for the sidecar wire
 // tests.
-func spillFixture(t *testing.T, seed uint64) (core.StepSampler, *gtree.Tree) {
+func spillFixture(t *testing.T, seed uint64) (core.Sampler, *gtree.Tree) {
 	t.Helper()
 	dev := device.Serial()
 	aln, _, err := seqgen.SimulateData(6, 60, 1.0, seed)

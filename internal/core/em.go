@@ -121,24 +121,14 @@ func StartEM(s Sampler, init *gtree.Tree, cfg EMConfig, dev *device.Device) (*EM
 // Step advances the estimation by one sampler transition; when the
 // transition completes an iteration's sampling pass, the same Step also
 // maximizes θ and positions the run at the next iteration (or marks it
-// done). A sampler that does not implement StepSampler runs its whole
-// pass in a single coarse Step. Errors are fatal: the run is marked done
-// and the error is also returned by Result.
+// done). Errors are fatal: the run is marked done and the error is also
+// returned by Result.
 func (e *EMRun) Step() error {
 	if e.done {
 		return e.err
 	}
 	if e.active == nil {
-		ss, ok := e.sampler.(StepSampler)
-		if !ok {
-			// Coarse fallback: one whole sampling pass per Step.
-			run, err := e.sampler.Run(e.cur, e.chainConfig())
-			if err != nil {
-				return e.fail(err)
-			}
-			return e.finishIteration(run)
-		}
-		run, err := ss.Start(e.cur, e.chainConfig())
+		run, err := e.sampler.Start(e.cur, e.chainConfig())
 		if err != nil {
 			return e.fail(err)
 		}

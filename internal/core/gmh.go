@@ -117,7 +117,7 @@ type gmhRun struct {
 	kernel func(tid int)
 }
 
-// Start implements StepSampler.
+// Start implements Sampler.
 func (g *GMH) Start(init *gtree.Tree, cfg ChainConfig) (Stepper, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err

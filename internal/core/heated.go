@@ -106,7 +106,7 @@ type heatedRun struct {
 	noPairHistory bool
 }
 
-// Start implements StepSampler.
+// Start implements Sampler.
 func (h *Heated) Start(init *gtree.Tree, cfg ChainConfig) (Stepper, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err

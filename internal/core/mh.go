@@ -51,7 +51,7 @@ type mhRun struct {
 	total int
 }
 
-// Start implements StepSampler.
+// Start implements Sampler.
 func (m *MH) Start(init *gtree.Tree, cfg ChainConfig) (Stepper, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err

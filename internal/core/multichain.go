@@ -66,7 +66,7 @@ type mcRun struct {
 	kernel  func(chain int)
 }
 
-// Start implements StepSampler.
+// Start implements Sampler.
 func (m *MultiChain) Start(init *gtree.Tree, cfg ChainConfig) (Stepper, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err

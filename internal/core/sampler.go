@@ -230,10 +230,14 @@ func (r *Result) AcceptanceRate() float64 {
 }
 
 // Sampler is a genealogy sampler: it draws genealogies from the posterior
-// P(G|D,θ) starting at init, under the run configuration.
+// P(G|D,θ) starting at init, under the run configuration. Run is the
+// convenience entry point (start, step to completion, finish); Start
+// exposes the pieces, so a scheduler can drive the run one transition at
+// a time.
 type Sampler interface {
 	Name() string
 	Run(init *gtree.Tree, cfg ChainConfig) (*Result, error)
+	Start(init *gtree.Tree, cfg ChainConfig) (Stepper, error)
 }
 
 // seedSource derives an MT19937 from a 64-bit seed and a stream label via

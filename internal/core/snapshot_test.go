@@ -70,7 +70,7 @@ func TestKillResumeBitIdentical(t *testing.T) {
 
 	samplers := []struct {
 		name string
-		s    StepSampler
+		s    Sampler
 	}{
 		{"mh", NewMH(eval)},
 		{"gmh", NewGMH(eval, dev, 3)},

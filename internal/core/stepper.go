@@ -28,19 +28,10 @@ type Stepper interface {
 	Finish() (*Result, error)
 }
 
-// StepSampler is a Sampler whose run loop can be driven externally. Run
-// remains the convenience entry point (start, step to completion,
-// finish); Start exposes the pieces to a scheduler.
-type StepSampler interface {
-	Sampler
-	Start(init *gtree.Tree, cfg ChainConfig) (Stepper, error)
-}
-
-// runStepped is Sampler.Run for step-driven samplers: drive a fresh run
-// to completion. Because both the standalone path and the batch scheduler
+// runStepped is Sampler.Run: drive a fresh run to completion. Because both the standalone path and the batch scheduler
 // go through exactly this Start/Step/Finish sequence, a job's draws in
 // batch mode are bit-identical to its standalone run.
-func runStepped(s StepSampler, init *gtree.Tree, cfg ChainConfig) (*Result, error) {
+func runStepped(s Sampler, init *gtree.Tree, cfg ChainConfig) (*Result, error) {
 	run, err := s.Start(init, cfg)
 	if err != nil {
 		return nil, err

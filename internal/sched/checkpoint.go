@@ -96,9 +96,10 @@ func Fingerprint(j Job) string {
 }
 
 // ckptWriter maintains the in-memory image of the batch checkpoint and
-// writes it to disk atomically. Entries are only mutated by the driver
-// that owns the corresponding job (or during single-threaded admission),
-// so the mutex only serializes the image against concurrent flushes.
+// writes it to disk atomically. Entries are only mutated by the
+// goroutine that owns the corresponding job (its admission, then the
+// driver stepping it), so the mutex only serializes the image against
+// concurrent flushes.
 type ckptWriter struct {
 	opts CheckpointOptions
 
@@ -186,8 +187,8 @@ func (w *ckptWriter) setFailed(index int, err error, steps int) {
 // flush writes the current image to disk atomically. Jobs that have no
 // recorded state yet (admitted but never snapshotted) are elided: a
 // resume simply starts them fresh. The first write error is remembered
-// and surfaced by RunBatch, since a batch whose checkpoints silently
-// failed is not resumable.
+// and surfaced by RunBatch and by Queue admission, since a job whose
+// checkpoints silently failed is not resumable.
 func (w *ckptWriter) flush() {
 	if w == nil {
 		return

@@ -50,8 +50,8 @@ type ManifestJob struct {
 	// Tempering knobs of the heated sampler. MaxTemp 0 selects the
 	// sampler default (8); AdaptLadder is a pointer so a per-job false
 	// can override a defaults-level true; SwapWindow 0 selects the
-	// controller default. All are rejected on jobs whose sampler is not
-	// "heated" — a knob that would be silently ignored is a spec bug.
+	// controller default. Set on a job whose sampler is not "heated", they
+	// are rejected — a knob that would be silently ignored is a spec bug.
 	MaxTemp     float64 `json:"max_temp"`
 	SwapEvery   int     `json:"swap_every"`
 	AdaptLadder *bool   `json:"adapt_ladder,omitempty"`
@@ -96,7 +96,7 @@ func (m ManifestJob) merged(d ManifestJob) ManifestJob {
 	}
 	// Tempering defaults are inherited only by jobs that resolve to the
 	// heated sampler: a defaults-level ladder configuration must not
-	// poison the non-heated jobs of a mixed manifest (and validate
+	// poison the non-heated jobs of a mixed manifest (and Job.Validate
 	// rejects these knobs only when a job sets them directly).
 	if m.Sampler == "heated" {
 		if m.MaxTemp == 0 {
@@ -126,59 +126,13 @@ func (m ManifestJob) merged(d ManifestJob) ManifestJob {
 	return m
 }
 
-// validate rejects spec values that could only fail later, mid-run, with
-// a less useful error: checkpoint resume additionally keys job state by
-// name, so name collisions must die here too.
-func (m ManifestJob) validate() error {
-	if m.Theta < 0 {
-		return fmt.Errorf("theta %v must not be negative", m.Theta)
-	}
-	if m.Proposals != nil && *m.Proposals <= 0 {
-		return fmt.Errorf("proposal count %d must be positive (omit the field for the pool default)", *m.Proposals)
-	}
-	if m.Chains != nil && *m.Chains <= 0 {
-		return fmt.Errorf("chain count %d must be positive (omit the field for the pool default)", *m.Chains)
-	}
-	if m.Burnin < 0 {
-		return fmt.Errorf("burn-in %d must not be negative", m.Burnin)
-	}
-	if m.Samples < 0 {
-		return fmt.Errorf("sample count %d must not be negative", m.Samples)
-	}
-	if m.EMIterations < 0 {
-		return fmt.Errorf("EM iteration count %d must not be negative", m.EMIterations)
-	}
-	// Tempering knobs mirror the heated sampler's Start validation, so a
-	// bad manifest dies at load time with the job's name attached instead
-	// of mid-batch. On non-heated samplers the knobs would be silently
-	// ignored, which hides spec mistakes — reject them there too.
-	if m.MaxTemp != 0 && m.MaxTemp < 1 {
-		return fmt.Errorf("max_temp %v must be at least 1 (omit or 0 for the default)", m.MaxTemp)
-	}
-	if m.SwapEvery < 0 {
-		return fmt.Errorf("swap_every %d must not be negative", m.SwapEvery)
-	}
-	if m.SwapWindow < 0 {
-		return fmt.Errorf("swap_window %d must not be negative", m.SwapWindow)
-	}
-	if m.Sampler != "heated" {
-		if m.MaxTemp != 0 || m.SwapEvery != 0 || m.AdaptLadder != nil || m.SwapWindow != 0 {
-			return fmt.Errorf("max_temp/swap_every/adapt_ladder/swap_window are only meaningful for the heated sampler (job resolves to %q)", m.Sampler)
-		}
-	}
-	if m.ESSTarget < 0 {
-		return fmt.Errorf("ess_target %v must not be negative", m.ESSTarget)
-	}
-	if m.RHatTarget != 0 && m.RHatTarget <= 1 {
-		return fmt.Errorf("rhat_target %v must exceed 1 (omit or 0 to disable)", m.RHatTarget)
-	}
-	if m.Sampler == "multichain" && (m.ESSTarget != 0 || m.RHatTarget != 0) {
-		return fmt.Errorf("ess_target/rhat_target are not supported by the multichain sampler")
-	}
-	return nil
-}
-
-// LoadManifest parses a batch manifest and loads every job's alignment.
+// LoadManifest parses a batch manifest, loads every job's alignment and
+// checks each job with Job.Validate, so a bad entry dies at load time
+// with its index and name attached. The loader itself checks only what
+// belongs to the manifest: a job without a phylip file, an explicit zero
+// proposal or chain count (a spec that can never run, where omitting the
+// field selects the pool default), and names or checkpoint keys that
+// collide — checkpoint resume keys job state by name.
 func LoadManifest(path string) ([]Job, error) {
 	raw, err := os.ReadFile(path)
 	if err != nil {
@@ -203,8 +157,11 @@ func LoadManifest(path string) ([]Job, error) {
 		if entry.Phylip == "" {
 			return nil, fmt.Errorf("%s: job %d (%q) has no phylip file", path, i, entry.Name)
 		}
-		if err := entry.validate(); err != nil {
-			return nil, fmt.Errorf("%s: job %d (%q): %w", path, i, entry.Name, err)
+		if entry.Proposals != nil && *entry.Proposals == 0 {
+			return nil, fmt.Errorf("%s: job %d (%q): proposal count 0 must be positive (omit the field for the pool default)", path, i, entry.Name)
+		}
+		if entry.Chains != nil && *entry.Chains == 0 {
+			return nil, fmt.Errorf("%s: job %d (%q): chain count 0 must be positive (omit the field for the pool default)", path, i, entry.Name)
 		}
 		seqPath := entry.Phylip
 		if !filepath.IsAbs(seqPath) {
@@ -259,6 +216,9 @@ func LoadManifest(path string) ([]Job, error) {
 		}
 		if entry.Chains != nil {
 			job.Chains = *entry.Chains
+		}
+		if err := job.Validate(); err != nil {
+			return nil, fmt.Errorf("%s: job %d (%q): %w", path, i, entry.Name, err)
 		}
 		jobs = append(jobs, job)
 	}

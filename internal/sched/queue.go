@@ -13,15 +13,15 @@ import (
 	"mpcgs/internal/device"
 )
 
-// Queue is the dynamic counterpart of RunBatch: a long-lived scheduler
+// Queue is the scheduler's one scheduling loop: a long-lived scheduler
 // that admits jobs one at a time while earlier submissions are already
-// running, for a serving process that never knows its whole batch up
-// front. The same driver/quantum model applies — a fixed set of driver
-// goroutines pops the most urgent job, steps it for a bounded quantum of
-// sampler transitions, and requeues it — but the ready queue is a
-// priority heap ordered by (priority, tenant usage, submission order)
-// instead of FIFO, so late arrivals from a starved tenant preempt a busy
-// tenant's backlog at the next quantum boundary.
+// running. A serving process that never knows its whole batch up front
+// submits to it directly; RunBatch submits a static batch to a private
+// Queue and waits. A fixed set of driver goroutines pops the most urgent
+// job, steps it for a bounded quantum of sampler transitions, and
+// requeues it. The ready queue is a priority heap ordered by (priority,
+// tenant usage, submission order), so late arrivals from a starved
+// tenant preempt a busy tenant's backlog at the next quantum boundary.
 //
 // # Preemption
 //
@@ -33,20 +33,21 @@ import (
 //
 // # Determinism
 //
-// A job's trajectory is a pure function of its spec and seed, exactly as
-// in RunBatch: per-job PRNG streams live inside the job's EMRun and the
-// heap only decides stepping order. The queue-level equivalence tests
-// pin submitted jobs against RunStandalone bit-for-bit.
+// A job's trajectory is a pure function of its spec and seed: per-job
+// PRNG streams live inside the job's EMRun and the heap only decides
+// stepping order. The queue-level equivalence tests pin submitted jobs
+// against RunStandalone bit-for-bit.
 //
 // # Durability
 //
 // Each submission may carry its own CheckpointOptions (one directory per
-// job, unlike RunBatch's one-per-batch): the queue then snapshots the job
-// every CheckpointOptions.Every transitions and on Drain, and a
-// later submission of the same spec with SubmitOptions.Resume continues
-// it bit-identically. Drain is the SIGTERM path: stop the drivers at
-// their next quantum boundary, snapshot every live job, and leave the
-// state on disk for the next process.
+// job; RunBatch instead shares one checkpoint file among its jobs): the
+// queue then snapshots the job every CheckpointOptions.Every transitions
+// and on Drain, and a later submission of the same spec with
+// SubmitOptions.Resume continues it bit-identically. Drain is the
+// SIGTERM path: stop the drivers at their next quantum boundary,
+// snapshot every live job, and leave the state on disk for the next
+// process.
 type Queue struct {
 	pool    *device.Pool
 	ownPool bool
@@ -231,9 +232,12 @@ type qrunner struct {
 	steps     int
 	sinceSnap int
 	snapEvery int
-	cw        *ckptWriter
-	ticket    *Ticket
-	busy      time.Duration
+	// cw holds the job's checkpoint entry at index slot; nil without
+	// checkpointing.
+	cw     *ckptWriter
+	slot   int
+	ticket *Ticket
+	busy   time.Duration
 }
 
 // qheap orders runners by priority (higher first), then tenant usage
@@ -304,6 +308,14 @@ func (q *Queue) Pending() int {
 // Submit returns, so a caller can acknowledge the submission knowing a
 // restart will find it.
 func (q *Queue) Submit(job Job, opts SubmitOptions) (*Ticket, error) {
+	return q.submit(job, opts, newCkptWriter(opts.Checkpoint, 1), 0)
+}
+
+// submit is Submit with the job's checkpoint entry supplied by the
+// caller: entry slot of cw, which may hold other jobs' entries too.
+// Submit passes a fresh one-job writer; RunBatch passes the batch's
+// shared writer, so the whole batch keeps one checkpoint file.
+func (q *Queue) submit(job Job, opts SubmitOptions, cw *ckptWriter, slot int) (*Ticket, error) {
 	q.mu.Lock()
 	switch q.state {
 	case qDraining:
@@ -329,21 +341,20 @@ func (q *Queue) Submit(job Job, opts SubmitOptions) (*Ticket, error) {
 		}
 		ticket := newTicket(job.Name, tenant, opts.Priority)
 
-		cw := newCkptWriter(opts.Checkpoint, 1)
 		var resume map[string]ckpt.BatchJob
 		fp := ""
 		if cw != nil || opts.Resume != nil {
 			fp = Fingerprint(job)
 			resume = resumeIndex(opts.Resume)
 		}
-		cw.initJob(0, job.Name, fp)
+		cw.initJob(slot, job.Name, fp)
 
 		// fail settles the ticket without an error from Submit: admission
 		// succeeded, the job itself is what failed — a restarted daemon
 		// surfaces such failures on the job, not as a refusal to start.
 		fail := func(err error) (*Ticket, error) {
 			res := &Result{Name: job.Name, Err: err}
-			cw.setFailed(0, err, 0)
+			cw.setFailed(slot, err, 0)
 			cw.flush()
 			q.finish(ticket, res)
 			return ticket, cw.err()
@@ -351,36 +362,31 @@ func (q *Queue) Submit(job Job, opts SubmitOptions) (*Ticket, error) {
 
 		entry, resuming := resume[job.Name]
 		if resuming {
-			if entry.Fingerprint != fp {
-				cw.keep(0, entry)
-				res := &Result{Name: job.Name, Err: fmt.Errorf("sched: job %q: checkpoint fingerprint mismatch: the job spec or its data changed since the snapshot", job.Name)}
-				cw.flush()
-				q.finish(ticket, res)
-				return ticket, cw.err()
-			}
-			switch entry.Status {
-			case ckpt.StatusDone:
-				cw.keep(0, entry)
-				cw.flush()
-				res := &Result{Name: job.Name}
+			// A settled or mismatched entry is carried forward unchanged;
+			// a paused one until the job's first new snapshot.
+			cw.keep(slot, entry)
+			var res *Result
+			switch {
+			case entry.Fingerprint != fp:
+				res = &Result{Name: job.Name, Err: fmt.Errorf("sched: job %q: checkpoint fingerprint mismatch: the job spec or its data changed since the snapshot (note that proposal/chain counts default to the pool's worker count)", job.Name)}
+			case entry.Status == ckpt.StatusDone:
+				res = &Result{Name: job.Name}
 				if err := restoreDone(entry, res); err != nil {
 					res.Err = fmt.Errorf("sched: job %q: %w", job.Name, err)
 				}
-				q.finish(ticket, res)
-				return ticket, cw.err()
-			case ckpt.StatusFailed:
-				cw.keep(0, entry)
-				cw.flush()
-				res := &Result{
+			case entry.Status == ckpt.StatusFailed:
+				res = &Result{
 					Name:    job.Name,
 					Steps:   entry.Steps,
 					Resumed: true,
 					Err:     fmt.Errorf("sched: job %q failed before the resume: %s", job.Name, entry.Error),
 				}
+			}
+			if res != nil {
+				cw.flush()
 				q.finish(ticket, res)
 				return ticket, cw.err()
 			}
-			cw.keep(0, entry)
 		}
 
 		dev, err := q.tenantDevice(tenant)
@@ -403,6 +409,7 @@ func (q *Queue) Submit(job Job, opts SubmitOptions) (*Ticket, error) {
 			em:        em,
 			snapEvery: opts.Checkpoint.every(),
 			cw:        cw,
+			slot:      slot,
 			ticket:    ticket,
 		}
 		if resuming {
@@ -477,12 +484,13 @@ func (q *Queue) tenantDevice(tenant string) (*device.Device, error) {
 	return dev, nil
 }
 
-// finish settles a ticket and releases its pending slot.
+// finish releases a ticket's pending slot and settles it. The slot goes
+// first, so a caller woken by the settle already sees it released.
 func (q *Queue) finish(ticket *Ticket, res *Result) {
-	ticket.settle(res)
 	q.mu.Lock()
 	q.pending--
 	q.mu.Unlock()
+	ticket.settle(res)
 }
 
 // drive is one driver goroutine: pop the most urgent runner, step it for
@@ -528,7 +536,7 @@ func (q *Queue) runQuantum(r *qrunner) {
 	switch {
 	case stepErr != nil:
 		if r.cw != nil {
-			r.cw.setFailed(0, stepErr, r.steps)
+			r.cw.setFailed(r.slot, stepErr, r.steps)
 			r.cw.flush()
 		}
 		q.settleRunner(r, stepErr)
@@ -564,14 +572,10 @@ func (q *Queue) settleRunner(r *qrunner, err error) {
 	} else if out, emErr := r.em.Result(); emErr != nil {
 		res.Err = emErr
 	} else {
-		res.Theta = out.Theta
-		res.History = out.History
-		res.LastSet = out.LastSet
-		res.LastRun = out.LastRun
-		res.Converged = out.LastRun != nil && out.LastRun.StoppedEarly
+		res.record(out)
 	}
 	if r.cw != nil && res.Err == nil {
-		r.cw.setDone(0, res)
+		r.cw.setDone(r.slot, res)
 		r.cw.flush()
 		if werr := r.cw.err(); werr != nil && res.Err == nil {
 			res.Err = werr
@@ -590,7 +594,7 @@ func (q *Queue) snapshot(r *qrunner) error {
 	if err != nil {
 		return err
 	}
-	r.cw.setPaused(0, ckpt.EncodeEM(snap), r.steps)
+	r.cw.setPaused(r.slot, ckpt.EncodeEM(snap), r.steps)
 	r.cw.flush()
 	r.sinceSnap = 0
 	return r.cw.err()

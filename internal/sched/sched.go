@@ -8,12 +8,16 @@
 //
 // Every job is a step-driven EM estimation (core.EMRun): all of its
 // mutable state — chain engine, PRNG streams, recorder — is owned by the
-// run, and the scheduler advances it one sampler transition at a time. A
-// fixed set of driver goroutines pops jobs from a ready queue, steps each
-// for a bounded quantum of transitions, and requeues it, so jobs
-// time-slice fairly even when there are far more jobs than drivers.
-// Kernel launches from all jobs land on the one shared device.Pool,
-// whose round-robin chunk claiming keeps the workers fair across tenants.
+// run, and the scheduler advances it one sampler transition at a time.
+// There is one scheduling loop, the Queue's: a fixed set of driver
+// goroutines pops the most urgent job from a priority heap, steps it for
+// a bounded quantum of transitions, and requeues it, so jobs time-slice
+// fairly even when there are far more jobs than drivers. RunBatch is a
+// client of that loop: it submits a static batch to a private Queue in
+// job order, waits for every ticket, and drains the queue when its
+// context is cancelled. Kernel launches from all jobs land on the one
+// shared device.Pool, whose round-robin chunk claiming keeps the workers
+// fair across tenants.
 //
 // # Determinism
 //
@@ -37,13 +41,13 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"sync"
 	"time"
 
 	"mpcgs/internal/ckpt"
 	"mpcgs/internal/core"
 	"mpcgs/internal/device"
 	"mpcgs/internal/felsen"
+	"mpcgs/internal/gtree"
 	"mpcgs/internal/phylip"
 	"mpcgs/internal/subst"
 )
@@ -169,6 +173,15 @@ type Result struct {
 	Err error
 }
 
+// record copies a finished estimation's outcome into the result.
+func (r *Result) record(out *core.EMResult) {
+	r.Theta = out.Theta
+	r.History = out.History
+	r.LastSet = out.LastSet
+	r.LastRun = out.LastRun
+	r.Converged = out.LastRun != nil && out.LastRun.StoppedEarly
+}
+
 // Options tunes the scheduler.
 type Options struct {
 	// Drivers is the number of goroutines stepping jobs concurrently.
@@ -190,32 +203,24 @@ type Options struct {
 	Resume *ckpt.Batch
 }
 
-// runner is one admitted job being driven through its EMRun.
-type runner struct {
-	index     int
-	name      string
-	em        *core.EMRun
-	steps     int
-	sinceSnap int
-	busy      time.Duration
-}
-
 // RunBatch drives every job to completion over the shared pool and
 // returns one Result per job, in job order. Per-job failures are
-// recorded in the results; RunBatch itself returns an error only for
+// recorded in the results — a spec that fails Job.Validate fails its own
+// job at admission; RunBatch itself returns an error only for
 // batch-level failures: a cancelled context (jobs not yet finished
 // record ctx's error too), a closed pool, or a checkpoint directory that
 // cannot be written.
 //
-// With Options.Checkpoint set, the batch's state is persisted into the
-// checkpoint directory: every job's snapshot is refreshed each
+// The batch runs on a private Queue with min(Drivers, len(jobs))
+// drivers, every job its own tenant. With Options.Checkpoint set, the
+// batch's state is persisted into the checkpoint directory as one file
+// with an entry per job: every job's snapshot is refreshed each
 // CheckpointOptions.Every transitions, finished jobs record their result,
-// and a batch-level stop (cancellation) snapshots every still-running job
-// before RunBatch returns — always at step boundaries, because snapshots
-// are taken only by the driver that owns the job, between its steps. With
-// Options.Resume set, jobs recorded as finished or failed are skipped and
-// paused jobs continue from their snapshot, bit-identical to never having
-// stopped.
+// and a cancellation drains the queue, snapshotting every still-running
+// job before RunBatch returns — always at step boundaries, because
+// snapshots are taken only between quanta. With Options.Resume set, jobs
+// recorded as finished or failed are skipped and paused jobs continue
+// from their snapshot, bit-identical to never having stopped.
 func RunBatch(ctx context.Context, pool *device.Pool, jobs []Job, opts Options) ([]Result, error) {
 	if pool == nil {
 		pool = device.NewPool(0)
@@ -228,185 +233,63 @@ func RunBatch(ctx context.Context, pool *device.Pool, jobs []Job, opts Options) 
 	if len(jobs) == 0 {
 		return results, nil
 	}
-	quantum := opts.Quantum
-	if quantum <= 0 {
-		quantum = 64
-	}
 	drivers := opts.Drivers
 	if drivers <= 0 {
 		drivers = pool.Workers()
 	}
-	if drivers > len(jobs) {
-		drivers = len(jobs)
-	}
+	q := NewQueue(pool, QueueOptions{Drivers: min(drivers, len(jobs)), Quantum: opts.Quantum})
 	cw := newCkptWriter(opts.Checkpoint, len(jobs))
-	snapEvery := opts.Checkpoint.every()
-	resume := resumeIndex(opts.Resume)
+	if resume := resumeIndex(opts.Resume); cw != nil {
+		// Every admission flushes the shared image, so each job's prior
+		// entry goes in up front: a stop mid-admission must not drop the
+		// entries of jobs not yet submitted.
+		for i, job := range jobs {
+			if entry, ok := resume[job.withDefaults(i, pool.Workers()).Name]; ok {
+				cw.keep(i, entry)
+			}
+		}
+	}
 
-	// Admission: build each job's evaluator and step-driven estimation on
-	// its own tenant view of the pool. Invalid jobs fail here, in their
-	// own Result, without holding the batch back. With a resume
-	// checkpoint, finished and failed jobs short-circuit to their recorded
-	// outcome and paused jobs restore their chain state.
-	ready := make(chan *runner, len(jobs))
-	live := 0
+	// Submission order makes each job's queue sequence its index, so
+	// default names are "job<index>".
+	sub := SubmitOptions{Checkpoint: opts.Checkpoint, Resume: opts.Resume}
+	tickets := make([]*Ticket, len(jobs))
 	for i, job := range jobs {
-		job = job.withDefaults(i, pool.Workers())
-		results[i].Name = job.Name
-		// Hashing every alignment is only worth it when the fingerprint
-		// is going somewhere: a checkpoint entry or a resume comparison.
-		fp := ""
-		if cw != nil || resume != nil {
-			fp = Fingerprint(job)
+		t, err := q.submit(job, sub, cw, i)
+		if t == nil {
+			results[i] = Result{Name: job.withDefaults(i, pool.Workers()).Name, Err: err}
 		}
-		cw.initJob(i, job.Name, fp)
-		entry, resuming := resume[job.Name]
-		if resuming {
-			if entry.Fingerprint != fp {
-				cw.keep(i, entry)
-				results[i].Err = fmt.Errorf("sched: job %q: checkpoint fingerprint mismatch: the job spec or its data changed since the snapshot (note that proposal/chain counts default to the pool's worker count); rerun without -resume or restore the original manifest", job.Name)
-				continue
-			}
-			switch entry.Status {
-			case ckpt.StatusDone:
-				cw.keep(i, entry)
-				if err := restoreDone(entry, &results[i]); err != nil {
-					results[i].Err = fmt.Errorf("sched: job %q: %w", job.Name, err)
-				}
-				continue
-			case ckpt.StatusFailed:
-				cw.keep(i, entry)
-				results[i].Resumed = true
-				results[i].Steps = entry.Steps
-				results[i].Err = fmt.Errorf("sched: job %q failed before the resume: %s", job.Name, entry.Error)
-				continue
-			}
-			cw.keep(i, entry)
-		}
-		dev, err := pool.Tenant(job.Name)
-		if err != nil {
-			results[i].Err = err
+		tickets[i] = t
+	}
+wait:
+	for _, t := range tickets {
+		if t == nil {
 			continue
 		}
-		trace := tracePath(opts.Checkpoint, job.Name)
-		if !resuming {
-			removeStaleSidecar(trace)
+		select {
+		case <-t.Done():
+		case <-ctx.Done():
+			break wait
 		}
-		em, err := startJob(job, dev, trace)
-		if err != nil {
-			results[i].Err = fmt.Errorf("sched: job %q: %w", job.Name, err)
-			cw.setFailed(i, results[i].Err, 0)
+	}
+	if ctx.Err() != nil {
+		// On-cancel checkpoint: park every live job's state so a resume
+		// continues it instead of restarting it.
+		q.Drain()
+	} else {
+		q.Close()
+	}
+	for i, t := range tickets {
+		if t == nil {
 			continue
 		}
-		r := &runner{index: i, name: job.Name, em: em}
-		if resuming {
-			snap, err := ckpt.DecodeEM(entry.EM)
-			if err == nil {
-				err = em.Restore(snap)
-			}
-			if err != nil {
-				results[i].Err = fmt.Errorf("sched: job %q: restoring checkpoint: %w", job.Name, err)
-				continue
-			}
-			r.steps = entry.Steps
+		st, _ := t.State()
+		if st.Result != nil {
+			results[i] = *st.Result
+			continue
 		}
-		ready <- r
-		live++
+		results[i] = Result{Name: t.Name(), Steps: st.Steps, Err: fmt.Errorf("sched: job %q interrupted: %w", t.Name(), ctx.Err())}
 	}
-	cw.flush()
-	if live == 0 {
-		return results, firstError(batchErr(ctx, pool), cw.err())
-	}
-
-	// Drivers pop a job, step it for one quantum, requeue it; the last
-	// finished runner closes the queue. A batch-level stop (context
-	// cancelled, pool closed) marks every remaining runner instead of
-	// requeuing it.
-	var mu sync.Mutex // guards live and results
-	finish := func(r *runner, err error) {
-		mu.Lock()
-		defer mu.Unlock()
-		res := &results[r.index]
-		res.Steps = r.steps
-		res.Busy = r.busy
-		if err != nil {
-			res.Err = err
-		} else if out, emErr := r.em.Result(); emErr != nil {
-			res.Err = emErr
-		} else {
-			res.Theta = out.Theta
-			res.History = out.History
-			res.LastSet = out.LastSet
-			res.LastRun = out.LastRun
-			res.Converged = out.LastRun != nil && out.LastRun.StoppedEarly
-		}
-		live--
-		if live == 0 {
-			close(ready)
-		}
-	}
-
-	// snapshot persists a still-running job's state; the calling driver
-	// owns the runner, so the EMRun is quiescent at a step boundary.
-	snapshot := func(r *runner) {
-		if cw == nil {
-			return
-		}
-		snap, err := r.em.Snapshot()
-		if err != nil {
-			return
-		}
-		cw.setPaused(r.index, ckpt.EncodeEM(snap), r.steps)
-		cw.flush()
-		r.sinceSnap = 0
-	}
-
-	var wg sync.WaitGroup
-	for d := 0; d < drivers; d++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for r := range ready {
-				if err := batchErr(ctx, pool); err != nil {
-					// On-cancel checkpoint: park the job's state so a
-					// resume continues it instead of restarting it.
-					snapshot(r)
-					finish(r, fmt.Errorf("sched: job %q interrupted: %w", r.name, err))
-					continue
-				}
-				start := time.Now()
-				var stepErr error
-				for s := 0; s < quantum && !r.em.Done(); s++ {
-					if stepErr = r.em.Step(); stepErr != nil {
-						break
-					}
-					r.steps++
-					r.sinceSnap++
-				}
-				r.busy += time.Since(start)
-				switch {
-				case stepErr != nil:
-					finish(r, stepErr)
-					if cw != nil {
-						cw.setFailed(r.index, stepErr, r.steps)
-						cw.flush()
-					}
-				case r.em.Done():
-					finish(r, nil)
-					if cw != nil {
-						cw.setDone(r.index, &results[r.index])
-						cw.flush()
-					}
-				default:
-					if cw != nil && r.sinceSnap >= snapEvery {
-						snapshot(r)
-					}
-					ready <- r
-				}
-			}
-		}()
-	}
-	wg.Wait()
 	return results, firstError(batchErr(ctx, pool), cw.err())
 }
 
@@ -422,10 +305,12 @@ func firstError(errs ...error) error {
 
 // RunStandalone estimates one job alone in the one-pool-per-run model:
 // its own device, spawned for the job and torn down after. It drives the
-// identical pipeline RunBatch admits jobs through (same defaults, same
-// startJob), so it is both the batch mode's back-to-back baseline —
-// comparable compute-for-compute — and the reference the equivalence
-// tests pin batch traces against.
+// identical pipeline the Queue admits jobs through (same defaults, same
+// startJob), so it is the public mpcgs.Run, the batch mode's back-to-back
+// baseline — comparable compute-for-compute — and the reference the
+// equivalence tests pin batch and queue traces against. Unlike
+// admission, it does not call Job.Validate: the sampler itself rejects
+// what it cannot run.
 func RunStandalone(job Job, workers int) (Result, error) {
 	dev := device.New(workers)
 	defer dev.Close()
@@ -448,12 +333,22 @@ func RunStandalone(job Job, workers int) (Result, error) {
 	if err != nil {
 		return res, err
 	}
-	res.Theta = out.Theta
-	res.History = out.History
-	res.LastSet = out.LastSet
-	res.LastRun = out.LastRun
-	res.Converged = out.LastRun != nil && out.LastRun.StoppedEarly
+	res.record(out)
 	return res, nil
+}
+
+// Prepare applies the standalone defaults to job (proposal and chain
+// counts from dev's worker count) and builds its likelihood evaluator
+// and starting genealogy on dev: the construction every estimation
+// shares, for samplers the scheduler does not drive, such as the
+// Bayesian θ sampler.
+func Prepare(job Job, dev *device.Device) (Job, *felsen.Evaluator, *gtree.Tree, error) {
+	job = job.withDefaults(0, dev.Workers())
+	eval, init, err := build(job, dev)
+	if err != nil {
+		return job, nil, nil, fmt.Errorf("sched: job %q: %w", job.Name, err)
+	}
+	return job, eval, init, nil
 }
 
 // batchErr reports the batch-level stop condition, if any.
@@ -497,30 +392,16 @@ func removeStaleSidecar(path string) {
 }
 
 // startJob assembles one job's estimation pipeline — model, evaluator,
-// starting genealogy, sampler — on the job's tenant device, mirroring
-// what a standalone run builds, and returns it positioned before its
-// first transition. A non-empty trace path puts the recorder in
-// bounded-memory spill mode with draws streamed to that sidecar file.
+// starting genealogy, sampler — on the job's device and returns it
+// positioned before its first transition. A non-empty trace path puts
+// the recorder in bounded-memory spill mode with draws streamed to that
+// sidecar file.
 func startJob(j Job, dev *device.Device, trace string) (*core.EMRun, error) {
-	if j.Alignment == nil {
-		return nil, fmt.Errorf("alignment is required")
-	}
-	if j.InitialTheta <= 0 {
-		return nil, fmt.Errorf("initial theta %v must be positive", j.InitialTheta)
-	}
-	model, err := buildModel(j.Model, j.Alignment)
-	if err != nil {
-		return nil, err
-	}
-	eval, err := felsen.New(model, j.Alignment, dev)
+	eval, init, err := build(j, dev)
 	if err != nil {
 		return nil, err
 	}
 	sampler, err := buildSampler(j, eval, dev)
-	if err != nil {
-		return nil, err
-	}
-	init, err := core.InitialTree(j.Alignment, j.InitialTheta, j.Seed)
 	if err != nil {
 		return nil, err
 	}
@@ -537,6 +418,31 @@ func startJob(j Job, dev *device.Device, trace string) (*core.EMRun, error) {
 		cfg.Trace = &core.TraceSpec{Path: trace}
 	}
 	return core.StartEM(sampler, init, cfg, dev)
+}
+
+// build assembles the data side of a job's pipeline on dev: the
+// substitution model, the likelihood evaluator and the starting
+// genealogy.
+func build(j Job, dev *device.Device) (*felsen.Evaluator, *gtree.Tree, error) {
+	if j.Alignment == nil {
+		return nil, nil, fmt.Errorf("alignment is required")
+	}
+	if j.InitialTheta <= 0 {
+		return nil, nil, fmt.Errorf("initial theta %v must be positive", j.InitialTheta)
+	}
+	model, err := buildModel(j.Model, j.Alignment)
+	if err != nil {
+		return nil, nil, err
+	}
+	eval, err := felsen.New(model, j.Alignment, dev)
+	if err != nil {
+		return nil, nil, err
+	}
+	init, err := core.InitialTree(j.Alignment, j.InitialTheta, j.Seed)
+	if err != nil {
+		return nil, nil, err
+	}
+	return eval, init, nil
 }
 
 func buildModel(kind string, aln *phylip.Alignment) (subst.Model, error) {

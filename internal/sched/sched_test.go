@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"mpcgs/internal/device"
@@ -189,9 +190,15 @@ func TestBatchIsolatesPathologicalJob(t *testing.T) {
 }
 
 func TestBatchInvalidJobFailsAtAdmission(t *testing.T) {
+	// A tempering knob on a non-heated sampler would be silently
+	// ignored; admission runs Job.Validate, so it fails like every other
+	// front door rejects it.
+	knob := quickJob("knob-on-gmh", testAlignment(t, 6, 40, 863), "gmh", 864)
+	knob.AdaptLadder = true
 	jobs := []Job{
 		{Name: "no-alignment", InitialTheta: 1.0},
 		quickJob("ok", testAlignment(t, 6, 40, 861), "gmh", 862),
+		knob,
 	}
 	results, err := RunBatch(context.Background(), nil, jobs, Options{})
 	if err != nil {
@@ -202,6 +209,12 @@ func TestBatchInvalidJobFailsAtAdmission(t *testing.T) {
 	}
 	if results[1].Err != nil {
 		t.Errorf("valid job failed: %v", results[1].Err)
+	}
+	if results[2].Err == nil || !strings.Contains(results[2].Err.Error(), "only meaningful for the heated sampler") {
+		t.Errorf("tempering knob on gmh: err = %v, want a heated-only rejection", results[2].Err)
+	}
+	if results[2].Steps != 0 {
+		t.Errorf("rejected job stepped %d times", results[2].Steps)
 	}
 }
 

@@ -6,10 +6,11 @@ import (
 )
 
 // Validate checks a fully-specified job for spec errors a run could only
-// surface later with a less useful failure. It mirrors the manifest
-// loader's admission checks for callers that build jobs directly — the
-// job queue and the HTTP service validate submissions here so a bad spec
-// is rejected synchronously (a 400, not a failed job).
+// surface later with a less useful failure. It is the one admission check
+// of every front door: the manifest loader, the job queue (and so the
+// batch scheduler) and the HTTP service reject a bad spec here,
+// synchronously — a load error or a 400, not a failed job. Its messages
+// name fields by their wire (manifest and JSON) spelling.
 func (j Job) Validate() error {
 	if j.Alignment == nil {
 		return fmt.Errorf("alignment is required")
@@ -20,8 +21,11 @@ func (j Job) Validate() error {
 	if j.Alignment.NSeq() < 3 {
 		return fmt.Errorf("need at least 3 sequences, have %d", j.Alignment.NSeq())
 	}
-	if j.InitialTheta <= 0 {
-		return fmt.Errorf("initial theta %v must be positive", j.InitialTheta)
+	switch {
+	case j.InitialTheta < 0:
+		return fmt.Errorf("theta %v must not be negative", j.InitialTheta)
+	case !(j.InitialTheta > 0):
+		return fmt.Errorf("theta %v must be positive (the initial driving value is required)", j.InitialTheta)
 	}
 	switch j.Sampler {
 	case "", "gmh", "mh", "heated", "multichain":
@@ -49,13 +53,13 @@ func (j Job) Validate() error {
 		return fmt.Errorf("EM iteration count %d must not be negative", j.EMIterations)
 	}
 	if j.MaxTemp != 0 && j.MaxTemp < 1 {
-		return fmt.Errorf("max temperature %v must be at least 1 (0 for the default)", j.MaxTemp)
+		return fmt.Errorf("max_temp %v must be at least 1 (omit or 0 for the default)", j.MaxTemp)
 	}
 	if j.SwapEvery < 0 {
-		return fmt.Errorf("swap interval %d must not be negative", j.SwapEvery)
+		return fmt.Errorf("swap_every %d must not be negative", j.SwapEvery)
 	}
 	if j.SwapWindow < 0 {
-		return fmt.Errorf("swap window %d must not be negative", j.SwapWindow)
+		return fmt.Errorf("swap_window %d must not be negative", j.SwapWindow)
 	}
 	if j.Sampler != "heated" {
 		if j.MaxTemp != 0 || j.SwapEvery != 0 || j.AdaptLadder || j.SwapWindow != 0 {
@@ -63,10 +67,10 @@ func (j Job) Validate() error {
 		}
 	}
 	if j.ESSTarget < 0 {
-		return fmt.Errorf("ess target %v must not be negative", j.ESSTarget)
+		return fmt.Errorf("ess_target %v must not be negative", j.ESSTarget)
 	}
 	if j.RHatTarget != 0 && j.RHatTarget <= 1 {
-		return fmt.Errorf("rhat target %v must exceed 1 (0 to disable)", j.RHatTarget)
+		return fmt.Errorf("rhat_target %v must exceed 1 (omit or 0 to disable)", j.RHatTarget)
 	}
 	if j.Sampler == "multichain" && (j.ESSTarget > 0 || j.RHatTarget > 0) {
 		// Each multichain sub-chain owns an even share of the pooled

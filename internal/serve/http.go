@@ -6,12 +6,10 @@ import (
 	"net/http"
 	"os"
 	"strconv"
-	"strings"
 	"time"
 
 	"mpcgs/internal/ckpt"
 	"mpcgs/internal/core"
-	"mpcgs/internal/phylip"
 	"mpcgs/internal/sched"
 )
 
@@ -52,6 +50,38 @@ type submitRequest struct {
 	RHatTarget   float64 `json:"rhat_target,omitempty"`
 	Tenant       string  `json:"tenant,omitempty"`
 	Priority     int     `json:"priority,omitempty"`
+}
+
+// spec is the request's estimation spec in durable wire form: the PHYLIP
+// text verbatim and floats as exact hex literals, so what the client sent
+// is what the fingerprint covers.
+func (r *submitRequest) spec() ckpt.JobSpec {
+	spec := ckpt.JobSpec{
+		Name:         r.Name,
+		Phylip:       r.Phylip,
+		Theta:        ckpt.HexFloat(r.Theta),
+		Sampler:      r.Sampler,
+		Model:        r.Model,
+		Proposals:    r.Proposals,
+		Chains:       r.Chains,
+		Burnin:       r.Burnin,
+		Samples:      r.Samples,
+		EMIterations: r.EMIterations,
+		Seed:         r.Seed,
+		SwapEvery:    r.SwapEvery,
+		AdaptLadder:  r.AdaptLadder,
+		SwapWindow:   r.SwapWindow,
+	}
+	if r.MaxTemp != 0 {
+		spec.MaxTemp = ckpt.HexFloat(r.MaxTemp)
+	}
+	if r.ESSTarget != 0 {
+		spec.ESSTarget = ckpt.HexFloat(r.ESSTarget)
+	}
+	if r.RHatTarget != 0 {
+		spec.RHatTarget = ckpt.HexFloat(r.RHatTarget)
+	}
+	return spec
 }
 
 // historyJSON is one EM iteration in wire form. The floats are rendered
@@ -213,29 +243,14 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "invalid submission: phylip alignment text is required")
 		return
 	}
-	aln, err := phylip.Read(strings.NewReader(req.Phylip))
+	// The job comes out of the durable record through the same function
+	// a restart replays it with, so the acknowledged job and the resumed
+	// one cannot differ.
+	rec := &ckpt.JobRecord{Tenant: req.Tenant, Priority: req.Priority, Spec: req.spec()}
+	job, err := jobFromRecord(rec)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, "invalid submission: alignment: %v", err)
+		writeError(w, http.StatusBadRequest, "invalid submission: %v", err)
 		return
-	}
-	job := sched.Job{
-		Name:         req.Name,
-		Alignment:    aln,
-		InitialTheta: req.Theta,
-		Sampler:      req.Sampler,
-		Model:        req.Model,
-		Proposals:    req.Proposals,
-		Chains:       req.Chains,
-		Burnin:       req.Burnin,
-		Samples:      req.Samples,
-		EMIterations: req.EMIterations,
-		Seed:         req.Seed,
-		MaxTemp:      req.MaxTemp,
-		SwapEvery:    req.SwapEvery,
-		AdaptLadder:  req.AdaptLadder,
-		SwapWindow:   req.SwapWindow,
-		ESSTarget:    req.ESSTarget,
-		RHatTarget:   req.RHatTarget,
 	}
 	if err := job.Validate(); err != nil {
 		writeError(w, http.StatusBadRequest, "invalid submission: %v", err)
@@ -264,7 +279,8 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	}
 	seq := s.nextSeq
 	s.nextSeq++
-	rec := recordFromJob(id, seq, req.Tenant, req.Priority, req.Phylip, job)
+	rec.ID, rec.Seq = id, seq
+	rec.Submitted = time.Now().UTC().Format(time.RFC3339)
 	entry := &jobEntry{rec: rec}
 	s.jobs[id] = entry
 	s.order = append(s.order, id)

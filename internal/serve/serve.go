@@ -36,7 +36,6 @@ import (
 	"path/filepath"
 	"strings"
 	"sync"
-	"time"
 
 	"mpcgs/internal/ckpt"
 	"mpcgs/internal/device"
@@ -224,7 +223,9 @@ func (s *Server) beginShutdown() {
 	s.drainOnce.Do(func() { close(s.drainCh) })
 }
 
-// jobFromRecord rebuilds the scheduler job a durable record describes.
+// jobFromRecord rebuilds the scheduler job a durable record describes:
+// the one conversion behind both an acknowledged submission and its
+// replay after a restart.
 func jobFromRecord(rec *ckpt.JobRecord) (sched.Job, error) {
 	spec := rec.Spec
 	aln, err := phylip.Read(strings.NewReader(spec.Phylip))
@@ -267,45 +268,6 @@ func jobFromRecord(rec *ckpt.JobRecord) (sched.Job, error) {
 		}
 	}
 	return job, nil
-}
-
-// recordFromJob is jobFromRecord's inverse for a freshly validated
-// submission: the PHYLIP text is the client's verbatim payload, floats
-// are stored exactly.
-func recordFromJob(id string, seq int64, tenant string, priority int, phylipText string, job sched.Job) *ckpt.JobRecord {
-	spec := ckpt.JobSpec{
-		Name:         job.Name,
-		Phylip:       phylipText,
-		Theta:        ckpt.HexFloat(job.InitialTheta),
-		Sampler:      job.Sampler,
-		Model:        job.Model,
-		Proposals:    job.Proposals,
-		Chains:       job.Chains,
-		Burnin:       job.Burnin,
-		Samples:      job.Samples,
-		EMIterations: job.EMIterations,
-		Seed:         job.Seed,
-		SwapEvery:    job.SwapEvery,
-		AdaptLadder:  job.AdaptLadder,
-		SwapWindow:   job.SwapWindow,
-	}
-	if job.MaxTemp != 0 {
-		spec.MaxTemp = ckpt.HexFloat(job.MaxTemp)
-	}
-	if job.ESSTarget != 0 {
-		spec.ESSTarget = ckpt.HexFloat(job.ESSTarget)
-	}
-	if job.RHatTarget != 0 {
-		spec.RHatTarget = ckpt.HexFloat(job.RHatTarget)
-	}
-	return &ckpt.JobRecord{
-		ID:        id,
-		Seq:       seq,
-		Tenant:    tenant,
-		Priority:  priority,
-		Submitted: time.Now().UTC().Format(time.RFC3339),
-		Spec:      spec,
-	}
 }
 
 var _ http.Handler = (*Server)(nil)

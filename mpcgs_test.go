@@ -2,9 +2,12 @@ package mpcgs
 
 import (
 	"bytes"
+	"fmt"
 	"math"
 	"strings"
 	"testing"
+
+	"mpcgs/internal/sched"
 )
 
 func TestSimulateAlignment(t *testing.T) {
@@ -264,5 +267,78 @@ func TestRunBayesianValidation(t *testing.T) {
 	}
 	if _, err := RunBayesian(Config{Alignment: aln}); err == nil {
 		t.Error("zero theta accepted")
+	}
+}
+
+// TestRunMatchesStandalone pins the public entry point to the scheduler's
+// standalone pipeline bit for bit: same θ, same EM trajectory, same final
+// genealogy, for every sampler under both the F81 and F84 models, and
+// with the growth extension on.
+func TestRunMatchesStandalone(t *testing.T) {
+	aln, err := SimulateAlignment(6, 100, 1.0, 61)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const workers = 2
+	type tc struct {
+		sampler SamplerKind
+		model   ModelKind
+		growth  bool
+	}
+	var cases []tc
+	for _, s := range []SamplerKind{SamplerGMH, SamplerMH, SamplerMultiChain, SamplerHeated} {
+		for _, m := range []ModelKind{ModelF81, ModelF84} {
+			cases = append(cases, tc{sampler: s, model: m})
+		}
+	}
+	cases = append(cases, tc{sampler: SamplerGMH, model: ModelF81, growth: true})
+	for _, c := range cases {
+		label := fmt.Sprintf("%s/%s/growth=%v", c.sampler, c.model, c.growth)
+		cfg := Config{
+			Alignment:      aln,
+			InitialTheta:   0.5,
+			Sampler:        c.sampler,
+			Model:          c.model,
+			Workers:        workers,
+			Burnin:         50,
+			Samples:        300,
+			EMIterations:   3,
+			Seed:           62,
+			EstimateGrowth: c.growth,
+		}
+		got, err := Run(cfg)
+		if err != nil {
+			t.Fatalf("%s: Run: %v", label, err)
+		}
+		want, err := sched.RunStandalone(sched.Job{
+			Alignment:    aln.aln,
+			InitialTheta: cfg.InitialTheta,
+			Sampler:      string(cfg.Sampler),
+			Model:        string(cfg.Model),
+			Burnin:       cfg.Burnin,
+			Samples:      cfg.Samples,
+			EMIterations: cfg.EMIterations,
+			Seed:         cfg.Seed,
+		}, workers)
+		if err != nil {
+			t.Fatalf("%s: RunStandalone: %v", label, err)
+		}
+		if got.Theta != want.Theta {
+			t.Errorf("%s: theta %v, standalone %v", label, got.Theta, want.Theta)
+		}
+		if len(got.History) != len(want.History) {
+			t.Fatalf("%s: %d EM iterations, standalone %d", label, len(got.History), len(want.History))
+		}
+		for i, h := range want.History {
+			if got.History[i] != EMIteration(h) {
+				t.Errorf("%s: EM iteration %d: %+v, standalone %+v", label, i, got.History[i], h)
+			}
+		}
+		if tree := want.LastRun.Final.String(); got.FinalTree != tree {
+			t.Errorf("%s: final tree %s, standalone %s", label, got.FinalTree, tree)
+		}
+		if c.growth && got.Growth == nil {
+			t.Errorf("%s: no growth estimate", label)
+		}
 	}
 }
